@@ -10,11 +10,11 @@
 //! [`BatchJob`]s out over scoped worker threads and collects one
 //! [`BatchOutcome`] per job (report or error, plus wall-clock timing).
 //!
-//! Two levels of parallelism compose here. Across jobs, workers pull
-//! from a shared queue (this module). Within one job, the engine's
-//! single abstract-interpretation pass feeds every observer sink of the
-//! suite concurrently (see [`crate::sink`]), and decoded instructions
-//! are shared across all configurations of the run (see
+//! Parallelism lives at this level only: across jobs, workers pull from
+//! a shared queue. Within one job, the engine's single
+//! abstract-interpretation pass feeds every observer sink of the suite
+//! on the job's own thread (see [`crate::sink`]), and decoded
+//! instructions are shared across all configurations of the run (see
 //! [`crate::scheduler`]). Each job still computes exactly the Theorem 1
 //! bounds a sequential [`Analysis::run`] would: the batch-consistency
 //! integration suite asserts the reports are bit-identical.
@@ -171,11 +171,7 @@ impl BatchAnalysis {
     /// Analyzes every job, returning outcomes in submission order.
     ///
     /// Individual analyzer failures are captured per job and never abort
-    /// the rest of the batch. When more than one worker runs, per-job
-    /// sink threading is turned off: across-job parallelism already
-    /// saturates the cores, and stacking 18 sink threads per concurrent
-    /// job on top would only oversubscribe the machine (results are
-    /// identical either way).
+    /// the rest of the batch.
     ///
     /// Pending jobs are pulled **heaviest-first** by [`BatchJob::cost_hint`]
     /// (stable: equal hints keep submission order), so one dominant job
@@ -190,7 +186,7 @@ impl BatchAnalysis {
 
         if workers <= 1 {
             for (slot, job) in slots.iter_mut().zip(&jobs) {
-                *slot = Some(run_job(job, true));
+                *slot = Some(run_job(job));
             }
         } else {
             // Heaviest-first pull order over a shared index: any idle
@@ -205,7 +201,7 @@ impl BatchAnalysis {
                     scope.spawn(|| loop {
                         let n = next.fetch_add(1, Ordering::Relaxed);
                         let Some(&i) = order.get(n) else { break };
-                        let outcome = run_job(&jobs[i], false);
+                        let outcome = run_job(&jobs[i]);
                         results.lock().expect("batch results poisoned")[i] = Some(outcome);
                     });
                 }
@@ -222,11 +218,9 @@ impl BatchAnalysis {
     }
 }
 
-fn run_job(job: &BatchJob<'_>, sink_threads: bool) -> BatchOutcome {
+fn run_job(job: &BatchJob<'_>) -> BatchOutcome {
     let started = Instant::now();
-    let mut config = job.config.clone();
-    config.parallel_sinks = config.parallel_sinks && sink_threads;
-    let result = Analysis::new(config).run(&job.target);
+    let result = Analysis::new(job.config.clone()).run(&job.target);
     BatchOutcome {
         name: job.name.clone(),
         result,
@@ -644,11 +638,7 @@ impl Executor {
         let workers = (0..threads)
             .map(|_| {
                 let shared = Arc::clone(&shared);
-                // Single-worker pools keep per-job sink threading (the
-                // machine has idle cores to give one job); larger pools
-                // already saturate the cores across jobs.
-                let sink_threads = threads == 1;
-                std::thread::spawn(move || worker_loop(&shared, sink_threads))
+                std::thread::spawn(move || worker_loop(&shared))
             })
             .collect();
         Executor { shared, workers }
@@ -772,7 +762,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn worker_loop(shared: &ExecutorShared, sink_threads: bool) {
+fn worker_loop(shared: &ExecutorShared) {
     loop {
         let item = {
             let mut queue = shared.queue.lock().expect("job queue poisoned");
@@ -792,15 +782,13 @@ fn worker_loop(shared: &ExecutorShared, sink_threads: bool) {
         } else {
             let job = &item.state.jobs[item.index];
             let started = Instant::now();
-            let mut config = job.config.clone();
-            config.parallel_sinks = config.parallel_sinks && sink_threads;
             // Contain per-job panics: an unwinding worker would never
             // record an outcome, hanging every wait on the batch and
             // shrinking the pool. (The scoped `BatchAnalysis` path
             // propagates panics at scope exit instead — a persistent
             // pool has no such exit.)
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let analysis = Analysis::new(config);
+                let analysis = Analysis::new(job.config.clone());
                 if job.members.is_empty() {
                     analysis.run(&job.target.as_ref())
                 } else {

@@ -12,10 +12,10 @@
 //!   per observer spec replays the event stream against its own trace
 //!   DAG and produces the Theorem 1 leakage bound for its observer.
 //!
-//! Because the sinks are mutually independent, the pipeline advances
-//! them on scoped threads while the scheduler keeps interpreting: the
+//! Because the sinks are mutually independent, the pipeline buffers the
+//! event stream and replays it through each sink a chunk at a time: the
 //! full observer suite (18 specs by default) costs one abstract pass
-//! plus parallel bookkeeping, rather than 18 cursor updates interleaved
+//! plus chunked bookkeeping, rather than 18 cursor updates interleaved
 //! into every scheduler step.
 
 use leakaudit_x86::Program;
@@ -79,10 +79,9 @@ pub(crate) fn run(
     let suite = config.observer_suite();
     let sinks = class_sinks(&suite);
     let mut memo = MemoStats::default();
-    let (rows, timings, sink_memo) =
-        sink::run_pipeline_with(sinks, config.parallel_sinks, config.sink_tuning, |bus| {
-            scheduler::drive(config, program, init, bus, &mut memo)
-        })?;
+    let (rows, timings, sink_memo) = sink::run_pipeline(sinks, |bus| {
+        scheduler::drive(config, program, init, bus, &mut memo)
+    })?;
     memo.accumulate(&sink_memo);
     Ok(LeakReport::new(reorder_rows(rows, &suite))
         .with_timings(timings)
@@ -118,10 +117,9 @@ pub(crate) fn run_union(
     }
     let sinks = class_sinks(&union);
     let mut memo = MemoStats::default();
-    let (rows, timings, sink_memo) =
-        sink::run_pipeline_with(sinks, lead.parallel_sinks, lead.sink_tuning, |bus| {
-            scheduler::drive(lead, program, init, bus, &mut memo)
-        })?;
+    let (rows, timings, sink_memo) = sink::run_pipeline(sinks, |bus| {
+        scheduler::drive(lead, program, init, bus, &mut memo)
+    })?;
     memo.accumulate(&sink_memo);
     Ok(LeakReport::new(reorder_rows(rows, &union))
         .with_timings(timings)

@@ -248,21 +248,11 @@ pub struct AnalysisConfig {
     pub budget: Budget,
     /// Maximum number of simultaneously live configurations.
     pub max_configs: usize,
-    /// Advance the per-observer trace sinks on scoped threads while the
-    /// scheduler interprets (see [`sink`]). Turning this off forces the
-    /// serial pipeline; results are identical either way.
-    pub parallel_sinks: bool,
-    /// Chunk/queue backpressure sizes and the serial-fallback core
-    /// threshold of the threaded sink pipeline (see
-    /// [`sink::SinkTuning`]). Scheduling only — results are identical
-    /// for any tuning, so, like `parallel_sinks`, it is excluded from
-    /// cache-key identity.
-    pub sink_tuning: sink::SinkTuning,
     /// Memoize abstract transfers per pc and replay repeated
     /// straight-line runs as superblock scripts (see `crate::memo`).
     /// Results are bit-identical either way — the memo layer only skips
-    /// recomputation, pinned by the `interp_memo_props` suite — so,
-    /// like `parallel_sinks`, this is excluded from cache-key identity.
+    /// recomputation, pinned by the `interp_memo_props` suite — so this
+    /// is excluded from cache-key identity.
     /// On by default; turn off to run the naive interpreter (the
     /// reference the property suite compares against).
     pub interp_memo: bool,
@@ -277,8 +267,6 @@ impl Default for AnalysisConfig {
             fuel: 5_000_000,
             budget: Budget::UNLIMITED,
             max_configs: 4096,
-            parallel_sinks: true,
-            sink_tuning: sink::SinkTuning::default(),
             interp_memo: true,
         }
     }
@@ -357,11 +345,10 @@ impl CacheKeyed for AnalysisConfig {
     /// the three observer granularities (which determine the suite) and
     /// the resource limits — `fuel`, `max_configs`, and the per-request
     /// `budget` — which determine whether a run converges or errors.
-    /// `parallel_sinks`, `sink_tuning`, and `interp_memo` change
-    /// scheduling only — the batch consistency and interpreter-memo
-    /// property suites prove results are bit-identical either way — and
-    /// are deliberately excluded, so serial/threaded and
-    /// memoized/naive runs share cache entries.
+    /// `interp_memo` only skips recomputation — the interpreter-memo
+    /// property suite proves results are bit-identical either way — and
+    /// is deliberately excluded, so memoized and naive runs share cache
+    /// entries.
     ///
     /// The encoding is the concatenation of the observation half and the
     /// interpretation half (in that order, byte-for-byte what earlier

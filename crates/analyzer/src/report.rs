@@ -12,10 +12,10 @@ use leakaudit_mpi::Natural;
 /// Instrumentation only: timings are **not** part of result identity —
 /// they never enter cache keys or serialized rows, are zeroed when a
 /// report is decoded from cache, and two bit-identical reports may carry
-/// different timings. On the serial sink pipeline the three phases are a
-/// disjoint wall-clock partition of the run; on the threaded pipeline
-/// `interpret` is the producer's wall time while `replay` and `count`
-/// are CPU time summed across sink threads (the phases overlap).
+/// different timings. The three phases are a disjoint partition of the
+/// sink pipeline's wall clock: sinks replay events on the thread that
+/// interprets, so `total()` is the pipeline's elapsed time (report
+/// assembly sits outside all three).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimings {
     /// Abstract interpretation: the scheduler's fixpoint loop (decode,

@@ -10,9 +10,10 @@
 //! one-way data flow: the single abstract-interpretation pass emits a
 //! stream of [`TraceEvent`]s, and one [`ObserverSink`] per observer spec
 //! replays the stream against its own [`TraceDag`]. Sinks never
-//! communicate with each other, so the pipeline advances them on scoped
-//! threads — one engine pass feeds the whole observer suite concurrently
-//! instead of interleaving 18 cursor updates into the scheduler loop.
+//! communicate with each other, so the pipeline buffers the stream and
+//! hands each chunk to every sink in turn — one engine pass feeds the
+//! whole observer suite instead of interleaving 18 cursor updates into
+//! the scheduler loop.
 //!
 //! # Mapping onto the paper
 //!
@@ -29,13 +30,9 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::mpsc;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use leakaudit_core::{
-    Cursor, DagStep, Label, MaskedSymbol, MemoKey, ObsSet, TraceDag, ValueSet, VertexId,
-};
+use leakaudit_core::{Cursor, DagStep, Label, MemoKey, ObsSet, TraceDag, ValueSet};
 use leakaudit_mpi::Natural;
 
 use crate::report::{Channel, LeakRow, MemoStats, ObserverSpec, PhaseTimings};
@@ -215,15 +212,12 @@ impl TraceEvent {
 /// spec when the stream ends. Most sinks serve a single spec; the class
 /// sink built by [`DagSink::for_class`] serves every spec of one
 /// (channel, offset-bits) class from a shared per-event front end.
-pub trait ObserverSink: Send {
-    /// The channel/observer pairs this sink serves, in row order.
-    fn specs(&self) -> Vec<ObserverSpec>;
-
+pub trait ObserverSink {
     /// Consumes one scheduler event.
     fn absorb(&mut self, event: &TraceEvent);
 
     /// Consumes a batch of events. The default forwards to
-    /// [`ObserverSink::absorb`]; the chunked serial bus calls this so a
+    /// [`ObserverSink::absorb`]; the pipeline's chunked bus calls this so a
     /// sink's per-chunk setup (if any) runs once per chunk.
     fn absorb_chunk(&mut self, events: &[TraceEvent]) {
         for event in events {
@@ -232,7 +226,7 @@ pub trait ObserverSink: Send {
     }
 
     /// Finishes the stream: count traces and convert to leakage bounds,
-    /// one row per spec, in [`ObserverSink::specs`] order.
+    /// one row per served spec, in the sink's row order.
     fn into_rows(self: Box<Self>) -> Vec<LeakRow>;
 
     /// The memo counters this sink accumulated (sink-side script
@@ -242,31 +236,6 @@ pub trait ObserverSink: Send {
     fn memo_stats(&self) -> MemoStats {
         MemoStats::default()
     }
-}
-
-/// Associativity of a lane's transition memo: direct-mapped table of
-/// [`TRANS_WAYS`] entries indexed by the low bits of the frontier vertex
-/// id. Hot loops sit on one or a few vertices at a time, so a tiny table
-/// captures nearly all repeats without hashing.
-const TRANS_WAYS: usize = 8;
-
-/// One memoized cursor transition: "at frontier vertex `vertex`, an
-/// access to exactly the address `sym` compares to the vertex label as
-/// `same_unit`". Sound because live vertex labels are immutable and ids
-/// are never reused between compactions (the table is cleared on
-/// compact), and because an equal singleton address implies an equal
-/// projection. Only singleton address sets ([`MemoKey::One`] — the
-/// dominant case: program counters and concrete loads) are memoized:
-/// carrying a full [`MemoKey`] would make the entry 140 bytes and put a
-/// memcpy on every install, while non-singleton sets recompute the
-/// (cheap) comparison directly. The *step* taken (stutter/bump/extend)
-/// is **not** memoized: it also depends on cursor refcounts and child
-/// counts, which [`TraceDag::update_memoized`] reads live.
-#[derive(Clone, Copy)]
-struct TransEntry {
-    vertex: VertexId,
-    sym: MaskedSymbol,
-    same_unit: bool,
 }
 
 /// Consecutive failed bulk-apply guards (or broken recordings) before a
@@ -299,8 +268,7 @@ enum ScriptState {
 /// frontier ("entry") vertex context it was journaled against, the
 /// in-place repetition bumps it applies to that vertex, and the chain of
 /// appended vertices. Deliberately free of vertex ids — labels and
-/// observations only — so a delta survives DAG compaction, unlike the
-/// id-keyed transition memo.
+/// observations only — so a delta survives DAG compaction.
 ///
 /// Validity argument: every vertex the chain appends is fresh, so its
 /// step decisions depend only on the (fixed) script observation
@@ -350,20 +318,18 @@ impl ScriptDelta {
 /// One observer's replay state inside a [`DagSink`]: its own DAG, its
 /// cursor table (dense, indexed by [`ConfigId`] — ids are allocated
 /// monotonically from zero, so the table stays small and hash-free),
-/// and its private transition memo.
+/// and its script delta memo.
 struct Lane {
     spec: ObserverSpec,
     dag: TraceDag,
     cursors: Vec<Option<Cursor>>,
     finals: Option<Cursor>,
-    trans: [Option<TransEntry>; TRANS_WAYS],
     /// Per-script delta memo, indexed by the run-unique script id. The
     /// decode cache allocates ids densely from zero, so a flat table
     /// replaces two hash probes per marker per lane with direct loads —
     /// markers outnumber the events they elide only a few to one, so
     /// per-marker cost decides whether the script memo pays for itself.
-    /// Unlike `trans`, entries survive compaction (no vertex ids
-    /// inside).
+    /// Entries survive compaction (no vertex ids inside).
     scripts: Vec<Option<LaneScript>>,
     /// The journal of the script run currently replaying per event
     /// through this lane: `(script id, replaying config, delta so far)`.
@@ -379,7 +345,6 @@ impl Lane {
             dag,
             cursors: Vec::new(),
             finals: None,
-            trans: [None; TRANS_WAYS],
             scripts: Vec::new(),
             journal: None,
         };
@@ -420,82 +385,35 @@ impl Lane {
         self.maybe_compact();
     }
 
-    /// Advances `config`'s cursor by one observation, through the
-    /// transition memo when the frontier is a single vertex (the
-    /// overwhelmingly common shape: straight-line code and loop bodies).
-    fn access(&mut self, config: ConfigId, key: &MemoKey, obs: &ObsSet) {
+    /// Advances `config`'s cursor by one observation. A live journal for
+    /// `config` records the step this event takes; the mutation path is
+    /// shared, so observing cannot change it.
+    fn access(&mut self, config: ConfigId, obs: &ObsSet) {
         let cur = self.take(config);
-        let cur = match cur.vertices() {
-            &[v] => {
-                let entry = v;
-                let same_unit = match key {
-                    MemoKey::One(sym) => {
-                        let slot = v.index() & (TRANS_WAYS - 1);
-                        match self.trans[slot] {
-                            Some(e) if e.vertex == v && e.sym == *sym => e.same_unit,
-                            _ => {
-                                let same_unit = self.dag.same_unit(v, obs);
-                                self.trans[slot] = Some(TransEntry {
-                                    vertex: v,
-                                    sym: *sym,
-                                    same_unit,
-                                });
-                                same_unit
-                            }
-                        }
+        let cur = match self.journal.as_mut() {
+            Some((_, jc, delta)) if *jc == config && !delta.broken => {
+                delta.touched = true;
+                if cur.vertices().len() == 1 {
+                    let (cur, step) = self.dag.update_observed(cur, obs);
+                    match step {
+                        DagStep::Stutter => {}
+                        DagStep::Bump => match delta.chain.last_mut() {
+                            Some(link) => link.1 += 1,
+                            None => delta.entry_bumps += 1,
+                        },
+                        DagStep::Extend => delta.chain.push((obs.clone(), 1)),
                     }
-                    _ => self.dag.same_unit(v, obs),
-                };
-                // A live journal records the step this event takes (the
-                // mutation path is shared, so observing cannot change it).
-                let cur = match self.journal.as_mut() {
-                    Some((_, jc, delta)) if *jc == config && !delta.broken => {
-                        delta.touched = true;
-                        let (cur, step) = self.dag.update_memoized_observed(cur, obs, same_unit);
-                        match step {
-                            DagStep::Stutter => {}
-                            DagStep::Bump => match delta.chain.last_mut() {
-                                Some(link) => link.1 += 1,
-                                None => delta.entry_bumps += 1,
-                            },
-                            DagStep::Extend => delta.chain.push((obs.clone(), 1)),
-                        }
-                        cur
-                    }
-                    _ => self.dag.update_memoized(cur, obs, same_unit),
-                };
-                // An extend that kept the frontier id is a tail collapse:
-                // the vertex was relabeled in place, so any transition
-                // memo entry recorded against it is stale.
-                if !same_unit && cur.vertices() == [entry] {
-                    self.forget_vertex(entry);
+                    cur
+                } else {
+                    // A multi-vertex frontier mid-script cannot be
+                    // captured by the singleton-shaped delta.
+                    delta.broken = true;
+                    self.dag.update(cur, obs)
                 }
-                cur
             }
-            _ => {
-                // A multi-vertex frontier mid-script cannot be captured
-                // by the singleton-shaped delta: poison the journal.
-                if let Some((_, jc, delta)) = self.journal.as_mut() {
-                    if *jc == config {
-                        delta.touched = true;
-                        delta.broken = true;
-                    }
-                }
-                self.dag.update(cur, obs)
-            }
+            _ => self.dag.update(cur, obs),
         };
         self.put(config, cur);
-    }
-
-    /// Drops the transition memo entry for `v` (all of a vertex's
-    /// entries live in its one direct-mapped slot). Called when a tail
-    /// collapse relabeled `v` in place — the memoized `same_unit` answer
-    /// no longer describes the live label.
-    fn forget_vertex(&mut self, v: VertexId) {
-        let slot = v.index() & (TRANS_WAYS - 1);
-        if self.trans[slot].is_some_and(|e| e.vertex == v) {
-            self.trans[slot] = None;
-        }
     }
 
     /// Whether the recorded delta for `script` may be applied in bulk to
@@ -538,21 +456,13 @@ impl Lane {
         if !delta.touched {
             return;
         }
-        let chain_nonempty = !delta.chain.is_empty();
         let cur = self.cursors[config.0 as usize]
             .take()
             .expect("cursor present for config");
-        let entry = cur.vertices()[0];
         let cur = self
             .dag
             .apply_script_delta(cur, delta.entry_bumps, &delta.chain);
         self.cursors[config.0 as usize] = Some(cur);
-        // The bulk apply may have tail-collapsed the entry vertex in
-        // place (relabeling it), so any memoized transition against it
-        // is suspect; clearing when it pushed instead is harmless.
-        if chain_nonempty {
-            self.forget_vertex(entry);
-        }
     }
 
     /// Script marker on the per-event fallback path: advance this lane's
@@ -638,8 +548,7 @@ impl Lane {
     /// the only producer of dead vertices, so this runs after `Merge`
     /// and `Retire` events; fork-heavy runs (defensive copies analyzed
     /// with thousands of joins) otherwise re-scan an ever-growing
-    /// graveyard in every counting pass. Compaction remaps vertex ids,
-    /// so the transition memo is invalidated wholesale.
+    /// graveyard in every counting pass.
     fn maybe_compact(&mut self) {
         const MIN_DEAD: usize = 1024;
         if self.dag.dead_vertices() >= MIN_DEAD
@@ -651,7 +560,6 @@ impl Lane {
                     .flatten()
                     .chain(self.finals.as_mut()),
             );
-            self.trans = [None; TRANS_WAYS];
         }
     }
 
@@ -846,7 +754,7 @@ impl DagSink {
                     .or_insert_with(|| observer.project_set(addresses));
                 for lane in &mut self.lanes {
                     if kind.visible_to(lane.spec.channel) {
-                        lane.access(*config, &key, obs);
+                        lane.access(*config, obs);
                     }
                 }
             }
@@ -861,10 +769,6 @@ impl DagSink {
 }
 
 impl ObserverSink for DagSink {
-    fn specs(&self) -> Vec<ObserverSpec> {
-        self.lanes.iter().map(|lane| lane.spec).collect()
-    }
-
     fn absorb_chunk(&mut self, events: &[TraceEvent]) {
         // Runs of events covered by an applied script delta are skipped
         // in one stride instead of one decrement per event.
@@ -941,152 +845,70 @@ pub trait EventBus {
     /// no-op: the events that follow are complete on their own, so
     /// buses feeding plain collectors (tests, external drivers) never
     /// surface script identity and their raw streams stay unchanged.
-    /// The pipeline buses forward a [`TraceEvent::Script`] marker.
+    /// The pipeline's bus forwards a [`TraceEvent::Script`] marker.
     fn emit_script(&mut self, config: ConfigId, script: u32, events: u32, forked: bool) {
         let _ = (config, script, events, forked);
     }
 }
 
-/// Backpressure tuning of the threaded sink pipeline.
-///
-/// The fixed constants these fields replace were sized for multicore
-/// machines; `None` lets the pipeline pick per machine (big chunks and
-/// deep queues when cores are plentiful, smaller ones when the sinks
-/// share few cores and buffered chunks are mostly memory pressure).
-/// Like `parallel_sinks`, none of this changes any result — the batch
-/// consistency suite pins serial and threaded rows bit-identical — so
-/// the fields are deliberately **excluded** from cache-key identity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SinkTuning {
-    /// Events per chunk handed to sink threads (`None` = auto by core
-    /// count). Bigger chunks amortize channel traffic; smaller ones cut
-    /// latency to first overlap and per-sink buffer memory.
-    pub chunk: Option<usize>,
-    /// Chunks that may queue per sink before the scheduler blocks
-    /// (`None` = auto). Bounds pipeline memory at `queue × chunk`
-    /// events per sink and gives slow sinks backpressure.
-    pub queue: Option<usize>,
-    /// Minimum hardware threads for the threaded pipeline; below this
-    /// the serial fallback runs. The default of 3 is a retune from the
-    /// original `> 1`: with one core driving the scheduler, the 18
-    /// consumer threads need at least two more to overlap rather than
-    /// time-slice against the producer.
-    pub min_cores: usize,
-}
-
-impl Default for SinkTuning {
-    fn default() -> Self {
-        SinkTuning {
-            chunk: None,
-            queue: None,
-            min_cores: 3,
-        }
-    }
-}
-
-impl SinkTuning {
-    /// The `(chunk, queue)` sizes to use on a machine with `cores`
-    /// hardware threads: explicit values win, otherwise `(1024, 64)`
-    /// on ≥ 4 cores (the original multicore sizing) and `(256, 16)`
-    /// below, where deep per-sink buffers are mostly memory pressure.
-    pub fn resolve(&self, cores: usize) -> (usize, usize) {
-        let (auto_chunk, auto_queue) = if cores >= 4 { (1024, 64) } else { (256, 16) };
-        (
-            self.chunk.unwrap_or(auto_chunk).max(1),
-            self.queue.unwrap_or(auto_queue).max(1),
-        )
-    }
-}
-
-/// Runs a set of sinks against the event stream produced by `drive`,
-/// with default [`SinkTuning`], discarding phase timings. See
-/// [`run_pipeline_with`].
-pub fn run_pipeline<E>(
-    sinks: Vec<Box<dyn ObserverSink>>,
-    parallel: bool,
-    drive: impl FnOnce(&mut dyn EventBus) -> Result<(), E>,
-) -> Result<Vec<LeakRow>, E> {
-    run_pipeline_with(sinks, parallel, SinkTuning::default(), drive).map(|(rows, _, _)| rows)
-}
+/// Events buffered between flushes of the pipeline's bus. Looping every
+/// sink over one buffered batch keeps each sink's working set hot per
+/// chunk and needs only two clock reads per chunk to attribute replay
+/// time. Script markers and skip strides span chunk boundaries, so the
+/// value changes no result.
+const CHUNK: usize = 256;
 
 /// Runs a set of sinks against the event stream produced by `drive`.
 ///
-/// With more than one sink (and unless `parallel` is off or the machine
-/// has fewer than [`SinkTuning::min_cores`] hardware threads) each sink
-/// gets its own scoped thread and consumes `Arc`-shared event chunks
-/// while the scheduler keeps producing — interpretation and trace
-/// bookkeeping overlap, and the expensive final counting (big-number
-/// arithmetic per Proposition 2) runs concurrently across observers.
-///
-/// Row order in the result is sink order, flattened over each sink's
-/// [`ObserverSink::specs`]. If `drive` errors, the partial rows are
+/// Events are buffered and applied to every sink in `CHUNK`-sized
+/// (256-event) batches on the calling thread. Row order in the result
+/// is sink order, flattened over each sink's
+/// [`ObserverSink::into_rows`]. If `drive` errors, the partial rows are
 /// discarded and the error is returned.
 ///
-/// The returned [`PhaseTimings`] split the run into interpretation
-/// (scheduler fixpoint), replay (sink event consumption), and counting
-/// (Proposition 2 arithmetic). On the serial path the three are a
-/// disjoint wall-clock partition; on the threaded path `interpret` is
-/// the producer's wall time while `replay`/`count` are CPU time summed
-/// across sink threads (the phases overlap by design).
+/// The returned [`PhaseTimings`] split the run's wall clock into three
+/// disjoint phases: interpretation (scheduler fixpoint), replay (sink
+/// event consumption) and counting (Proposition 2 arithmetic).
 ///
 /// The returned [`MemoStats`] are the sinks' own counters (sink-side
 /// script replay), summed across sinks; the caller folds them into the
 /// interpreter's.
-pub fn run_pipeline_with<E>(
+pub fn run_pipeline<E>(
     sinks: Vec<Box<dyn ObserverSink>>,
-    parallel: bool,
-    tuning: SinkTuning,
     drive: impl FnOnce(&mut dyn EventBus) -> Result<(), E>,
 ) -> Result<(Vec<LeakRow>, PhaseTimings, MemoStats), E> {
-    // With too few hardware threads the consumer threads cannot overlap
-    // with the scheduler; the channel traffic would be pure overhead.
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let parallel = parallel && cores >= tuning.min_cores;
-    if sinks.len() <= 1 || !parallel {
-        // Chunked even in serial mode: buffering `chunk` events and
-        // looping sinks over the batch keeps each sink's working set hot
-        // per chunk, and needs only two clock reads per (chunk, sink)
-        // instead of per event to attribute replay time.
-        let (chunk, _) = tuning.resolve(cores);
-        let mut bus = SerialBus {
-            sinks,
-            buffer: Vec::with_capacity(chunk),
-            chunk,
-            replay: Duration::ZERO,
-        };
-        let started = Instant::now();
-        drive(&mut bus).map(|()| {
-            bus.flush();
-            let interpret = started.elapsed().saturating_sub(bus.replay);
-            let mut memo = MemoStats::default();
-            for sink in &bus.sinks {
-                memo.accumulate(&sink.memo_stats());
-            }
-            let counting = Instant::now();
-            let rows: Vec<LeakRow> = bus
-                .sinks
-                .into_iter()
-                .flat_map(ObserverSink::into_rows)
-                .collect();
-            let timings = PhaseTimings {
-                interpret,
-                replay: bus.replay,
-                count: counting.elapsed(),
-            };
-            (rows, timings, memo)
-        })
-    } else {
-        let (chunk, queue) = tuning.resolve(cores);
-        run_threaded(sinks, chunk, queue, drive)
+    let mut bus = SerialBus {
+        sinks,
+        buffer: Vec::with_capacity(CHUNK),
+        replay: Duration::ZERO,
+    };
+    let started = Instant::now();
+    drive(&mut bus)?;
+    bus.flush();
+    let interpret = started.elapsed().saturating_sub(bus.replay);
+    let mut memo = MemoStats::default();
+    for sink in &bus.sinks {
+        memo.accumulate(&sink.memo_stats());
     }
+    let counting = Instant::now();
+    let rows: Vec<LeakRow> = bus
+        .sinks
+        .into_iter()
+        .flat_map(ObserverSink::into_rows)
+        .collect();
+    let timings = PhaseTimings {
+        interpret,
+        replay: bus.replay,
+        count: counting.elapsed(),
+    };
+    Ok((rows, timings, memo))
 }
 
-/// Serial fallback: events are buffered and applied to every sink in
-/// chunk-sized batches (see [`run_pipeline_with`] for why).
+/// The pipeline's bus: buffers events and applies them to every sink in
+/// [`CHUNK`]-sized batches (see [`run_pipeline`]).
 struct SerialBus {
     sinks: Vec<Box<dyn ObserverSink>>,
     buffer: Vec<TraceEvent>,
-    chunk: usize,
     replay: Duration,
 }
 
@@ -1107,128 +929,7 @@ impl SerialBus {
 impl EventBus for SerialBus {
     fn emit(&mut self, event: TraceEvent) {
         self.buffer.push(event);
-        if self.buffer.len() >= self.chunk {
-            self.flush();
-        }
-    }
-
-    fn emit_script(&mut self, config: ConfigId, script: u32, events: u32, forked: bool) {
-        self.emit(TraceEvent::Script {
-            config,
-            script,
-            events,
-            forked,
-        });
-    }
-}
-
-/// Threaded pipeline: one consumer thread per sink. `chunk` events are
-/// batched per channel send; `queue` chunks may queue per sink before
-/// the scheduler blocks (see [`SinkTuning`]).
-fn run_threaded<E>(
-    sinks: Vec<Box<dyn ObserverSink>>,
-    chunk: usize,
-    queue: usize,
-    drive: impl FnOnce(&mut dyn EventBus) -> Result<(), E>,
-) -> Result<(Vec<LeakRow>, PhaseTimings, MemoStats), E> {
-    std::thread::scope(|scope| {
-        let aborted = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let mut txs = Vec::with_capacity(sinks.len());
-        let mut handles = Vec::with_capacity(sinks.len());
-        for mut sink in sinks {
-            let (tx, rx) = mpsc::sync_channel::<Arc<Vec<TraceEvent>>>(queue);
-            txs.push(tx);
-            let aborted = Arc::clone(&aborted);
-            handles.push(scope.spawn(move || {
-                let mut replay = Duration::ZERO;
-                while let Ok(chunk) = rx.recv() {
-                    if aborted.load(std::sync::atomic::Ordering::Relaxed) {
-                        break;
-                    }
-                    let started = Instant::now();
-                    sink.absorb_chunk(&chunk);
-                    replay += started.elapsed();
-                }
-                if aborted.load(std::sync::atomic::Ordering::Relaxed) {
-                    // The driver failed: rows are discarded, so skip the
-                    // (possibly expensive) final counting.
-                    let rows = sink
-                        .specs()
-                        .into_iter()
-                        .map(|spec| LeakRow {
-                            spec,
-                            count: Natural::zero(),
-                            bits: 0.0,
-                        })
-                        .collect::<Vec<_>>();
-                    (rows, MemoStats::default(), replay, Duration::ZERO)
-                } else {
-                    let memo = sink.memo_stats();
-                    let counting = Instant::now();
-                    let rows = sink.into_rows();
-                    (rows, memo, replay, counting.elapsed())
-                }
-            }));
-        }
-
-        let mut bus = ChannelBus {
-            buffer: Vec::with_capacity(chunk),
-            chunk,
-            txs,
-        };
-        let started = Instant::now();
-        let outcome = drive(&mut bus);
-        let interpret = started.elapsed();
-        if outcome.is_ok() {
-            bus.flush();
-        } else {
-            aborted.store(true, std::sync::atomic::Ordering::Relaxed);
-        }
-        drop(bus); // close channels so consumers finish
-
-        let mut rows = Vec::new();
-        let mut memo = MemoStats::default();
-        let mut timings = PhaseTimings {
-            interpret,
-            ..PhaseTimings::default()
-        };
-        for handle in handles {
-            let (sink_rows, sink_memo, replay, count) =
-                handle.join().expect("sink thread panicked");
-            rows.extend(sink_rows);
-            memo.accumulate(&sink_memo);
-            timings.replay += replay;
-            timings.count += count;
-        }
-        outcome.map(|()| (rows, timings, memo))
-    })
-}
-
-struct ChannelBus {
-    buffer: Vec<TraceEvent>,
-    chunk: usize,
-    txs: Vec<mpsc::SyncSender<Arc<Vec<TraceEvent>>>>,
-}
-
-impl ChannelBus {
-    fn flush(&mut self) {
-        if self.buffer.is_empty() {
-            return;
-        }
-        let chunk = Arc::new(std::mem::take(&mut self.buffer));
-        for tx in &self.txs {
-            // A sink thread can only be gone if it panicked; the panic is
-            // propagated by the join above, so a send failure is ignorable.
-            let _ = tx.send(Arc::clone(&chunk));
-        }
-        self.buffer = Vec::with_capacity(self.chunk);
-    }
-}
-
-impl EventBus for ChannelBus {
-    fn emit(&mut self, event: TraceEvent) {
-        self.buffer.push(event);
-        if self.buffer.len() >= self.chunk {
+        if self.buffer.len() >= CHUNK {
             self.flush();
         }
     }
@@ -1253,7 +954,7 @@ mod tests {
     }
 
     /// The Ex. 9 protocol (fork, diverge, merge, continue) through the
-    /// event-stream interface, for both pipeline modes.
+    /// event-stream interface.
     fn example9_events(bus: &mut dyn EventBus) -> Result<(), std::convert::Infallible> {
         let (main, taken) = (ConfigId(0), ConfigId(1));
         for pc in [0x41a90u64, 0x41a97, 0x41a99] {
@@ -1279,7 +980,16 @@ mod tests {
         Ok(())
     }
 
-    fn example9_rows(parallel: bool) -> Vec<LeakRow> {
+    /// Runs `sinks` over `drive`, keeping only the rows.
+    fn rows<E>(
+        sinks: Vec<Box<dyn ObserverSink>>,
+        drive: impl FnOnce(&mut dyn EventBus) -> Result<(), E>,
+    ) -> Result<Vec<LeakRow>, E> {
+        run_pipeline(sinks, drive).map(|(rows, _, _)| rows)
+    }
+
+    #[test]
+    fn pipeline_reproduces_example9() {
         let specs = [
             ObserverSpec {
                 channel: Channel::Instruction,
@@ -1298,27 +1008,11 @@ mod tests {
             .iter()
             .map(|&spec| Box::new(DagSink::new(spec, ConfigId(0))) as Box<dyn ObserverSink>)
             .collect();
-        run_pipeline(sinks, parallel, example9_events).unwrap()
-    }
-
-    #[test]
-    fn serial_pipeline_reproduces_example9() {
-        let rows = example9_rows(false);
+        let rows = rows(sinks, example9_events).unwrap();
         assert_eq!(rows[0].count.to_u64(), Some(2), "address observer");
         assert_eq!(rows[1].count.to_u64(), Some(1), "stuttering block");
         // The data channel saw no accesses: exactly one (empty) trace.
         assert_eq!(rows[2].count.to_u64(), Some(1));
-    }
-
-    #[test]
-    fn threaded_pipeline_matches_serial() {
-        let serial = example9_rows(false);
-        let threaded = example9_rows(true);
-        for (s, t) in serial.iter().zip(&threaded) {
-            assert_eq!(s.spec, t.spec);
-            assert_eq!(s.count, t.count);
-            assert_eq!(s.bits, t.bits);
-        }
     }
 
     #[test]
@@ -1338,75 +1032,17 @@ mod tests {
             .map(|&spec| {
                 let sinks: Vec<Box<dyn ObserverSink>> =
                     vec![Box::new(DagSink::new(spec, ConfigId(0)))];
-                run_pipeline(sinks, false, example9_events)
-                    .unwrap()
-                    .remove(0)
+                rows(sinks, example9_events).unwrap().remove(0)
             })
             .collect();
         let class: Vec<Box<dyn ObserverSink>> =
             vec![Box::new(DagSink::for_class(&specs, ConfigId(0)))];
-        let grouped = run_pipeline(class, false, example9_events).unwrap();
+        let grouped = rows(class, example9_events).unwrap();
         assert_eq!(grouped.len(), specs.len(), "one row per lane");
         for (s, g) in solo.iter().zip(&grouped) {
             assert_eq!(s.spec, g.spec);
             assert_eq!(s.count, g.count);
             assert_eq!(s.bits.to_bits(), g.bits.to_bits());
-        }
-    }
-
-    #[test]
-    fn tuning_resolution_prefers_explicit_values() {
-        let auto = SinkTuning::default();
-        assert_eq!(auto.resolve(8), (1024, 64), "multicore keeps old sizing");
-        assert_eq!(auto.resolve(2), (256, 16), "few cores shrink the buffers");
-        let pinned = SinkTuning {
-            chunk: Some(8),
-            queue: Some(2),
-            min_cores: 1,
-        };
-        assert_eq!(pinned.resolve(1), (8, 2));
-        assert_eq!(pinned.resolve(64), (8, 2));
-        // Degenerate explicit zeroes clamp to 1 instead of panicking.
-        let zeroed = SinkTuning {
-            chunk: Some(0),
-            queue: Some(0),
-            min_cores: 0,
-        };
-        assert_eq!(zeroed.resolve(4), (1, 1));
-    }
-
-    #[test]
-    fn tiny_chunks_through_the_threaded_pipeline_match_serial() {
-        let specs = [
-            ObserverSpec {
-                channel: Channel::Instruction,
-                observer: Observer::address(),
-            },
-            ObserverSpec {
-                channel: Channel::Instruction,
-                observer: Observer::block(6).stuttering(),
-            },
-        ];
-        let run = |tuning: SinkTuning| {
-            let sinks: Vec<Box<dyn ObserverSink>> = specs
-                .iter()
-                .map(|&spec| Box::new(DagSink::new(spec, ConfigId(0))) as Box<dyn ObserverSink>)
-                .collect();
-            let (rows, _, _) = run_pipeline_with(sinks, true, tuning, example9_events).unwrap();
-            rows
-        };
-        // A chunk of 1 with a queue of 1 maximizes channel traffic and
-        // backpressure stalls — rows must still be bit-identical.
-        let tiny = run(SinkTuning {
-            chunk: Some(1),
-            queue: Some(1),
-            min_cores: 1,
-        });
-        let default = run(SinkTuning::default());
-        for (a, b) in tiny.iter().zip(&default) {
-            assert_eq!(a.spec, b.spec);
-            assert_eq!(a.count, b.count);
-            assert_eq!(a.bits.to_bits(), b.bits.to_bits());
         }
     }
 
@@ -1417,16 +1053,12 @@ mod tests {
             observer: Observer::address(),
         };
         let sinks: Vec<Box<dyn ObserverSink>> = vec![Box::new(DagSink::new(spec, ConfigId(0)))];
-        let rows = run_pipeline(
-            sinks,
-            false,
-            |bus| -> Result<(), std::convert::Infallible> {
-                bus.emit(TraceEvent::Retire {
-                    config: ConfigId(0),
-                });
-                Ok(())
-            },
-        )
+        let rows = rows(sinks, |bus| -> Result<(), std::convert::Infallible> {
+            bus.emit(TraceEvent::Retire {
+                config: ConfigId(0),
+            });
+            Ok(())
+        })
         .unwrap();
         assert_eq!(rows[0].count.to_u64(), Some(1));
         assert_eq!(rows[0].bits, 0.0);
@@ -1439,7 +1071,7 @@ mod tests {
             observer: Observer::address(),
         };
         let sinks: Vec<Box<dyn ObserverSink>> = vec![Box::new(DagSink::new(spec, ConfigId(0)))];
-        let err = run_pipeline(sinks, true, |bus| {
+        let err = rows(sinks, |bus| {
             bus.emit(TraceEvent::access(
                 ConfigId(0),
                 AccessKind::Data,

@@ -1,24 +1,24 @@
 //! Property tests pinning the memoized class-sink replay bit-identical
 //! to a naive, memo-free replay of the same event stream.
 //!
-//! The production sinks ([`DagSink`]) layer several caches over trace
-//! replay: the per-lane transition memo (skipping the `same_unit` label
-//! comparison on repeated (vertex, address-key) pairs), the per-class
-//! projection map with its one-entry hot cache, and the per-lane script
-//! delta memo (bulk-applying whole scripted runs). None of those may
-//! change a single bit of the resulting counts. The reference
-//! implementation here replays the identical event stream straight
-//! through the public [`TraceDag`] API — one `project_set` and one
-//! `update` per event, no memo of any kind, no compaction — and the
-//! properties assert that counts and bits agree exactly for every spec,
-//! over random fork/merge/retire salads, repeated loop-like accesses
-//! (the memo's hot path), stuttering and exact observers, and arbitrary
-//! serial chunk sizes.
+//! The production sinks ([`DagSink`]) layer caches over trace replay:
+//! the per-class projection map (one `project_set` per distinct address
+//! set and granularity), DAG compaction, and the per-lane script delta
+//! memo (bulk-applying whole scripted runs). None of those may change a
+//! single bit of the resulting counts. The reference implementation
+//! here replays the identical event stream straight through the public
+//! [`TraceDag`] API — one `project_set` and one `update` per event, no
+//! memo of any kind, no compaction — and the properties assert that
+//! counts and bits agree exactly for every spec, over random
+//! fork/merge/retire salads, repeated loop-like accesses, stuttering and
+//! exact observers, and arbitrary chunk boundaries: the stream reaches
+//! each sink through [`ObserverSink::absorb_chunk`], cut at
+//! proptest-chosen split points.
 
 use std::collections::HashMap;
 
 use leakaudit_analyzer::sink::{
-    run_pipeline_with, AccessKind, ConfigId, DagSink, ObserverSink, SinkTuning, TraceEvent,
+    run_pipeline, AccessKind, ConfigId, DagSink, ObserverSink, TraceEvent,
 };
 use leakaudit_analyzer::{Channel, LeakRow, ObserverSpec};
 use leakaudit_core::{Cursor, Observer, TraceDag, ValueSet};
@@ -44,10 +44,9 @@ fn suite() -> Vec<ObserverSpec> {
 
 /// A small fixed pool of address sets, built once per stream so that
 /// cloned entries share [`leakaudit_core::MemoKey`] identity — repeats
-/// from the pool are exactly what the transition and projection memos
-/// exist to capture. Entry 4 crosses the block(6) boundary, entry 3
-/// stays inside one block (same-unit for coarse observers, distinct for
-/// `address()`).
+/// from the pool are exactly what the projection memo exists to
+/// capture. Entry 4 crosses the block(6) boundary, entry 3 stays inside
+/// one block (same-unit for coarse observers, distinct for `address()`).
 fn address_pool() -> Vec<ValueSet> {
     vec![
         ValueSet::constant(0x1000, 32),
@@ -67,7 +66,7 @@ fn address_pool() -> Vec<ValueSet> {
 #[derive(Debug, Clone)]
 enum RawOp {
     /// `reps` identical accesses in a row — a loop body revisiting one
-    /// address, the memo's hot path (and the stuttering observers' too).
+    /// address, the repetition-bump and stuttering hot path.
     Access {
         cfg: u8,
         fetch: bool,
@@ -264,36 +263,44 @@ fn class_sinks(suite: &[ObserverSpec]) -> Vec<Box<dyn ObserverSink>> {
         .collect()
 }
 
-/// Runs the memoized production pipeline (serial, explicit chunk size)
-/// over the events and returns rows keyed by spec.
-fn memoized_rows(events: &[TraceEvent], chunk: usize) -> Vec<LeakRow> {
-    let suite = suite();
-    let tuning = SinkTuning {
-        chunk: Some(chunk),
-        queue: Some(1),
-        min_cores: usize::MAX, // force the serial path regardless of host
-    };
-    let (rows, _, _) = run_pipeline_with(class_sinks(&suite), false, tuning, |bus| {
-        for event in events {
-            bus.emit(event.clone());
+/// Replays the events through the memoized production sinks, handing
+/// each sink the stream in chunks cut at `cuts` (raw offsets, reduced
+/// modulo the stream length), and returns rows keyed by spec.
+fn memoized_rows(events: &[TraceEvent], cuts: &[usize]) -> Vec<LeakRow> {
+    let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (events.len() + 1)).collect();
+    bounds.push(events.len());
+    bounds.sort_unstable();
+    bounds.dedup();
+    let mut sinks = class_sinks(&suite());
+    for sink in &mut sinks {
+        let mut start = 0;
+        for &end in &bounds {
+            sink.absorb_chunk(&events[start..end]);
+            start = end;
         }
-        Ok::<(), std::convert::Infallible>(())
-    })
-    .expect("infallible drive");
-    rows
+    }
+    sinks
+        .into_iter()
+        .flat_map(ObserverSink::into_rows)
+        .collect()
+}
+
+/// Cuts every `stride` events.
+fn stride_cuts(len: usize, stride: usize) -> Vec<usize> {
+    (stride..len).step_by(stride).collect()
 }
 
 proptest! {
     /// The flagship property: over random event salads, every spec's
     /// memoized class-sink count equals the naive replay bit for bit,
-    /// for any serial chunk size.
+    /// for any chunk boundaries.
     #[test]
     fn memoized_class_replay_matches_naive_replay(
         ops in proptest::collection::vec(raw_op(), 0..120),
-        chunk in 1usize..10,
+        cuts in proptest::collection::vec(any::<usize>(), 0..64),
     ) {
         let events = build_events(&ops);
-        let rows = memoized_rows(&events, chunk);
+        let rows = memoized_rows(&events, &cuts);
         for spec in suite() {
             let row = rows
                 .iter()
@@ -320,19 +327,18 @@ proptest! {
     #[test]
     fn solo_sinks_match_class_sinks(ops in proptest::collection::vec(raw_op(), 0..80)) {
         let events = build_events(&ops);
-        let class_rows = memoized_rows(&events, 256);
+        let class_rows = memoized_rows(&events, &[]);
         let solo_sinks: Vec<Box<dyn ObserverSink>> = suite()
             .into_iter()
             .map(|spec| Box::new(DagSink::new(spec, ConfigId::ROOT)) as Box<dyn ObserverSink>)
             .collect();
-        let (solo_rows, _, _) =
-            run_pipeline_with(solo_sinks, false, SinkTuning::default(), |bus| {
-                for event in &events {
-                    bus.emit(event.clone());
-                }
-                Ok::<(), std::convert::Infallible>(())
-            })
-            .expect("infallible drive");
+        let (solo_rows, _, _) = run_pipeline(solo_sinks, |bus| {
+            for event in &events {
+                bus.emit(event.clone());
+            }
+            Ok::<(), std::convert::Infallible>(())
+        })
+        .expect("infallible drive");
         for solo in &solo_rows {
             let class = class_rows
                 .iter()
@@ -344,9 +350,9 @@ proptest! {
     }
 }
 
-/// A deterministic worst case for the transition memo: a long loop on
-/// one address (maximal memo hits) punctuated by forks and merges that
-/// move the frontier (forcing re-validation), checked against the naive
+/// A deterministic loop-heavy stream: a long loop on one address
+/// (repetition bumps and tail collapses on one hot vertex) punctuated by
+/// forks and merges that move the frontier, checked against the naive
 /// replay. Kept outside `proptest!` so it always runs with this exact
 /// shape regardless of generator drift.
 #[test]
@@ -378,7 +384,7 @@ fn loop_heavy_stream_matches_naive_replay() {
     }
     events.push(TraceEvent::Retire { config: root });
 
-    let rows = memoized_rows(&events, 7);
+    let rows = memoized_rows(&events, &stride_cuts(events.len(), 7));
     for spec in suite() {
         let row = rows.iter().find(|r| r.spec == spec).expect("row for spec");
         let mut naive = Naive::new(spec);

@@ -10,16 +10,17 @@
 //! the announced run of access events, same script id always carrying
 //! the same access template, exactly as the scheduler emits them — and
 //! assert that every spec's count matches the reference replay bit for
-//! bit, for any serial chunk size. The deterministic fixtures then pin
+//! bit, for any chunk boundaries: the stream reaches each sink through
+//! [`ObserverSink::absorb_chunk`], cut at proptest-chosen split points,
+//! so the skip stride of an applied delta and open journaling windows
+//! must carry across every cut. The deterministic fixtures then pin
 //! that the memo actually *fires* (a stream that never hits would make
 //! the properties vacuous) and that the lone/forked counters partition
 //! the hits.
 
 use std::collections::HashMap;
 
-use leakaudit_analyzer::sink::{
-    run_pipeline_with, AccessKind, ConfigId, DagSink, ObserverSink, SinkTuning, TraceEvent,
-};
+use leakaudit_analyzer::sink::{AccessKind, ConfigId, DagSink, ObserverSink, TraceEvent};
 use leakaudit_analyzer::{Channel, LeakRow, MemoStats, ObserverSpec};
 use leakaudit_core::{Cursor, Observer, TraceDag, ValueSet};
 use leakaudit_mpi::Natural;
@@ -300,23 +301,34 @@ fn class_sinks(suite: &[ObserverSpec]) -> Vec<Box<dyn ObserverSink>> {
         .collect()
 }
 
-/// Runs the memoized production pipeline (serial, explicit chunk size)
-/// over the events, returning rows and the accumulated memo counters.
-fn memoized_rows(events: &[TraceEvent], chunk: usize) -> (Vec<LeakRow>, MemoStats) {
-    let suite = suite();
-    let tuning = SinkTuning {
-        chunk: Some(chunk),
-        queue: Some(1),
-        min_cores: usize::MAX, // force the serial path regardless of host
-    };
-    let (rows, _, stats) = run_pipeline_with(class_sinks(&suite), false, tuning, |bus| {
-        for event in events {
-            bus.emit(event.clone());
+/// Replays the events through the memoized production sinks, handing
+/// each sink the stream in chunks cut at `cuts` (raw offsets, reduced
+/// modulo the stream length); returns rows and the summed memo counters.
+fn memoized_rows(events: &[TraceEvent], cuts: &[usize]) -> (Vec<LeakRow>, MemoStats) {
+    let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (events.len() + 1)).collect();
+    bounds.push(events.len());
+    bounds.sort_unstable();
+    bounds.dedup();
+    let mut sinks = class_sinks(&suite());
+    let mut stats = MemoStats::default();
+    for sink in &mut sinks {
+        let mut start = 0;
+        for &end in &bounds {
+            sink.absorb_chunk(&events[start..end]);
+            start = end;
         }
-        Ok::<(), std::convert::Infallible>(())
-    })
-    .expect("infallible drive");
+        stats.accumulate(&sink.memo_stats());
+    }
+    let rows = sinks
+        .into_iter()
+        .flat_map(ObserverSink::into_rows)
+        .collect();
     (rows, stats)
+}
+
+/// Cuts every `stride` events.
+fn stride_cuts(len: usize, stride: usize) -> Vec<usize> {
+    (stride..len).step_by(stride).collect()
 }
 
 fn assert_rows_match_naive(events: &[TraceEvent], rows: &[LeakRow]) {
@@ -343,15 +355,15 @@ proptest! {
     /// The flagship property: over random salads of scripted runs,
     /// unscripted accesses, forks, merges and retires, every spec's
     /// script-memoized count equals the naive replay bit for bit, for
-    /// any serial chunk size — and whenever the memo did fire, the
+    /// any chunk boundaries — and whenever the memo did fire, the
     /// lone/forked counters partition the hits.
     #[test]
     fn script_memoized_replay_matches_naive_replay(
         ops in proptest::collection::vec(raw_op(), 0..120),
-        chunk in 1usize..10,
+        cuts in proptest::collection::vec(any::<usize>(), 0..64),
     ) {
         let events = build_events(&ops);
-        let (rows, stats) = memoized_rows(&events, chunk);
+        let (rows, stats) = memoized_rows(&events, &cuts);
         for spec in suite() {
             let row = rows
                 .iter()
@@ -400,7 +412,7 @@ fn repeated_script_hits_after_priming_and_matches_naive() {
     }
     events.push(TraceEvent::Retire { config: root });
 
-    let (rows, stats) = memoized_rows(&events, 7);
+    let (rows, stats) = memoized_rows(&events, &stride_cuts(events.len(), 7));
     assert_rows_match_naive(&events, &rows);
     // Occurrence 1 primes, occurrence 2 records, 3..=10 hit.
     assert!(
@@ -448,7 +460,7 @@ fn forked_script_hits_are_counted_forked_and_match_naive() {
     events.push(TraceEvent::Retire { config: side });
     events.push(TraceEvent::Retire { config: root });
 
-    let (rows, stats) = memoized_rows(&events, 3);
+    let (rows, stats) = memoized_rows(&events, &stride_cuts(events.len(), 3));
     assert_rows_match_naive(&events, &rows);
     assert!(
         stats.sink_script_hits_forked > 0,

@@ -123,9 +123,9 @@ impl FingerprintHasher {
 /// Types with a stable, content-based cache-key encoding.
 ///
 /// Implementations must encode every field that can influence an analysis
-/// *result* and nothing that cannot (e.g. the analyzer's
-/// `parallel_sinks` switch changes scheduling, not results, and is
-/// excluded by its impl).
+/// *result* and nothing that cannot (e.g. the analyzer's `interp_memo`
+/// switch only skips recomputation, not results, and is excluded by its
+/// impl).
 pub trait CacheKeyed {
     /// Feeds this value's stable encoding into the hasher.
     fn key_into(&self, h: &mut FingerprintHasher);

@@ -202,9 +202,9 @@ fn natural_from_u128(n: u128) -> Natural {
 
 /// Outcome of matching one access against one frontier vertex (see
 /// [`TraceDag::update`]). Public so the analyzer's sinks can journal
-/// the steps a script replay takes (via
-/// [`TraceDag::update_memoized_observed`]) and later re-apply the whole
-/// run in bulk with [`TraceDag::apply_script_delta`].
+/// the steps a script replay takes (via [`TraceDag::update_observed`])
+/// and later re-apply the whole run in bulk with
+/// [`TraceDag::apply_script_delta`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DagStep {
     /// Stuttering observer, same unit: the cursor stays put.
@@ -529,68 +529,22 @@ impl TraceDag {
         // none at all, because an extend from a count-transparent private
         // tail overwrites it in place (see `collapse_target`).
         if let [v] = c.verts[..] {
-            let same_unit = self.same_unit(v, obs);
-            return self.update_singleton(c, v, obs, same_unit);
+            let step = self.classify(v, obs);
+            return self.apply_singleton(c, v, obs, step);
         }
         self.update_frontier(c, obs)
     }
 
-    /// Whether `obs` denotes exactly the unit of `v`'s label — the
-    /// label-comparison half of the transition classification. The
-    /// answer depends only on `v`'s label and on `obs`, so the
-    /// analyzer's sinks memoize it per `(frontier vertex, address-set
-    /// key)` pair and replay hot loop bodies without re-deriving it (see
-    /// `update_memoized`). A label only changes under a tail collapse —
-    /// an extend that kept the frontier id — which is exactly the signal
-    /// those memos use to invalidate.
-    pub fn same_unit(&self, v: VertexId, obs: &ObsSet) -> bool {
-        obs.is_singleton() && matches!(&self.vertices[v.index()].label, Label::Obs(o) if o == obs)
-    }
-
-    /// [`TraceDag::update`] with the `same_unit` comparison supplied by
-    /// the caller's transition memo instead of recomputed. The memoized
-    /// answer is only valid for a **singleton** frontier whose vertex
-    /// kept its label since the memo entry was recorded — ids are never
-    /// reused between compactions, and the one in-place label change (a
-    /// tail collapse) keeps the frontier id, so callers detect it by
-    /// "extend returned the same frontier vertex" and drop their entry.
-    /// Callers with a multi-vertex frontier must take
-    /// [`TraceDag::update`].
-    ///
-    /// Every mutation goes through the same code path as the
-    /// unmemoized update, so a memo hit is bit-identical by
-    /// construction — the debug assertion pins the remaining input.
-    pub fn update_memoized(&mut self, c: Cursor, obs: &ObsSet, same_unit: bool) -> Cursor {
-        debug_assert_eq!(
-            c.verts.len(),
-            1,
-            "memoized transitions are singleton-frontier"
-        );
-        let v = c.verts[0];
-        debug_assert_eq!(same_unit, self.same_unit(v, obs), "stale transition memo");
-        self.update_singleton(c, v, obs, same_unit)
-    }
-
-    /// [`TraceDag::update_memoized`], additionally reporting which
-    /// transition was taken. The analyzer's sinks journal these steps
-    /// while recording a sink-side script delta (see
+    /// [`TraceDag::update`] on a singleton frontier, additionally
+    /// reporting which transition was taken. The analyzer's sinks journal
+    /// these steps while recording a sink-side script delta (see
     /// [`TraceDag::apply_script_delta`]); the mutation goes through the
     /// exact same path as the unreported update, so observing a step can
     /// never change it.
-    pub fn update_memoized_observed(
-        &mut self,
-        c: Cursor,
-        obs: &ObsSet,
-        same_unit: bool,
-    ) -> (Cursor, DagStep) {
-        debug_assert_eq!(
-            c.verts.len(),
-            1,
-            "memoized transitions are singleton-frontier"
-        );
+    pub fn update_observed(&mut self, c: Cursor, obs: &ObsSet) -> (Cursor, DagStep) {
+        debug_assert_eq!(c.verts.len(), 1, "observed updates are singleton-frontier");
         let v = c.verts[0];
-        debug_assert_eq!(same_unit, self.same_unit(v, obs), "stale transition memo");
-        let step = self.step_for(v, same_unit);
+        let step = self.classify(v, obs);
         (self.apply_singleton(c, v, obs, step), step)
     }
 
@@ -702,19 +656,6 @@ impl TraceDag {
         Cursor { verts }
     }
 
-    /// The singleton-frontier update: classification (from the supplied
-    /// label comparison plus the live exclusivity state) and mutation.
-    fn update_singleton(
-        &mut self,
-        c: Cursor,
-        v: VertexId,
-        obs: &ObsSet,
-        same_unit: bool,
-    ) -> Cursor {
-        let step = self.step_for(v, same_unit);
-        self.apply_singleton(c, v, obs, step)
-    }
-
     /// Mutation half of the singleton-frontier update.
     fn apply_singleton(&mut self, c: Cursor, v: VertexId, obs: &ObsSet, step: DagStep) -> Cursor {
         match step {
@@ -727,9 +668,7 @@ impl TraceDag {
             DagStep::Extend => {
                 // Tail collapse: a count-transparent private tail is
                 // overwritten in place — the chain stays one hot vertex
-                // long instead of growing per event. Callers memoizing
-                // per-vertex-id state must treat a label change under an
-                // unchanged frontier id as an invalidation (see
+                // long instead of growing per event (see
                 // [`TraceDag::collapse_target`]).
                 if self.collapse_target(v) {
                     let vert = &mut self.vertices[v.index()];
@@ -802,21 +741,15 @@ impl TraceDag {
 
     /// How one frontier vertex reacts to an access labeled `obs`.
     fn classify(&self, v: VertexId, obs: &ObsSet) -> DagStep {
-        self.step_for(v, self.same_unit(v, obs))
-    }
-
-    /// The classification given the (possibly memoized) label
-    /// comparison. Exclusivity is always read live: `cursor_refs` and
-    /// `children` change as paths fork and extend, so only the label
-    /// half of the decision is cacheable.
-    fn step_for(&self, v: VertexId, same_unit: bool) -> DagStep {
+        let vert = &self.vertices[v.index()];
+        // Whether `obs` denotes exactly the unit of `v`'s label.
+        let same_unit = obs.is_singleton() && matches!(&vert.label, Label::Obs(o) if o == obs);
         if same_unit && self.observer.is_stuttering() {
             return DagStep::Stutter;
         }
         // In-place repetition bump is sound only when the label denotes
         // a *single* masked observation (a true repetition of the same
         // address unit) and no other path shares or extends this vertex.
-        let vert = &self.vertices[v.index()];
         if same_unit && vert.cursor_refs == 1 && vert.children == 0 {
             return DagStep::Bump;
         }
@@ -1040,7 +973,7 @@ mod tests {
     }
 
     /// Journals one run of a repeated "script" with
-    /// `update_memoized_observed`, replays the next run through
+    /// `update_observed`, replays the next run through
     /// `apply_script_delta`, and checks the DAG counts the same trace set
     /// as the fully per-event reference — the core soundness argument of
     /// the analyzer's sink-side script replay.
@@ -1068,8 +1001,7 @@ mod tests {
         let mut entry_bumps = 0u64;
         let mut chain: Vec<(ObsSet, u64)> = Vec::new();
         for obs in &obs_seq {
-            let same = dag.same_unit(cur.vertices()[0], obs);
-            let (next, step) = dag.update_memoized_observed(cur, obs, same);
+            let (next, step) = dag.update_observed(cur, obs);
             cur = next;
             match step {
                 DagStep::Stutter => {}

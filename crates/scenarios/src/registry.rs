@@ -396,7 +396,11 @@ impl ScenarioSpec {
                     return Err("secret window width must be in 1..=8 bits");
                 }
             }
-            FamilyParams::SquareAlways { .. } => {}
+            FamilyParams::SquareAlways { opt } => {
+                if opt == Opt::O1 {
+                    return Err("square-and-always-multiply has no documented -O1 build");
+                }
+            }
             FamilyParams::LookupUnprotected {
                 opt,
                 entries,
@@ -1193,6 +1197,7 @@ mod tests {
             ("secure-retrieve[e=7,w=0,b=6]", "1..=4096"),
             ("secure-retrieve[e=7,w=4000000000,b=6]", "1..=4096"),
             ("unprotected-lookup[O0,e=7,b=6]", "-O0"),
+            ("square-and-always-multiply[O1,b=6]", "-O1"),
             ("unprotected-lookup[O2,e=0,b=6]", "64-byte table slot"),
             ("unprotected-lookup[O2,e=7,s=16,b=6]", "4 or 8"),
             ("square-and-multiply[stride=0x4,b=6]", "8..=0x1000"),

@@ -187,16 +187,16 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sinks_do_not_change_the_key() {
+    fn interp_memo_does_not_change_the_key() {
         let s = leakaudit_scenarios::scatter_gather::openssl_102f();
-        let mut serial = s.analysis_config();
-        serial.parallel_sinks = false;
-        let mut threaded = s.analysis_config();
-        threaded.parallel_sinks = true;
+        let mut naive = s.analysis_config();
+        naive.interp_memo = false;
+        let mut memoized = s.analysis_config();
+        memoized.interp_memo = true;
         assert_eq!(
-            CacheKey::compute(&s.program, &s.init, &serial),
-            CacheKey::compute(&s.program, &s.init, &threaded),
-            "scheduling switches are not part of result identity"
+            CacheKey::compute(&s.program, &s.init, &naive),
+            CacheKey::compute(&s.program, &s.init, &memoized),
+            "the interpreter memo is not part of result identity"
         );
     }
 
@@ -274,12 +274,12 @@ mod tests {
             ..plain.clone()
         };
         assert_ne!(group, base.interpretation_group(&capped));
-        // Scheduling switches stay outside group identity too.
-        let serial = AnalysisConfig {
-            parallel_sinks: false,
+        // The interpreter memo stays outside group identity too.
+        let naive = AnalysisConfig {
+            interp_memo: false,
             ..plain
         };
-        assert_eq!(group, base.interpretation_group(&serial));
+        assert_eq!(group, base.interpretation_group(&naive));
     }
 
     #[test]

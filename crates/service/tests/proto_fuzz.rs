@@ -210,3 +210,34 @@ proptest! {
         }
     }
 }
+
+/// The one valid-looking id whose family parses the opt level but whose
+/// generator has no such layout: validation must reject it as a
+/// structured error (it used to reach the builder and panic the daemon),
+/// and the daemon must keep answering afterwards.
+#[test]
+fn square_always_without_an_o1_layout_is_a_structured_error() {
+    let mut lines: Vec<String> = Vec::new();
+    daemon().handle_line_into(
+        r#"{"op":"submit_sweep","specs":["square-and-always-multiply[O1,b=6]"]}"#,
+        &mut |line| lines.push(line.to_string()),
+    );
+    assert_eq!(lines.len(), 1, "one response line: {lines:?}");
+    let response = Json::parse(&lines[0]).expect("valid JSON response");
+    assert_eq!(response.get("ok"), Some(&Json::Bool(false)), "{}", lines[0]);
+    assert!(
+        response
+            .get("error")
+            .and_then(Json::as_str)
+            .is_some_and(|e| e.contains("-O1")),
+        "error names the missing layout: {}",
+        lines[0]
+    );
+
+    lines.clear();
+    daemon().handle_line_into(r#"{"op":"stats"}"#, &mut |line| {
+        lines.push(line.to_string())
+    });
+    let stats = Json::parse(&lines[0]).expect("valid JSON response");
+    assert_eq!(stats.get("ok"), Some(&Json::Bool(true)), "{}", lines[0]);
+}

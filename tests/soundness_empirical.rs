@@ -1,31 +1,25 @@
-//! Empirical validation of Theorem 1: for every case-study binary, run
-//! the emulator under *every* secret value and *every* heap layout,
+//! Empirical validation of Theorem 1: for every case-study binary and
+//! every cell of the default registry sweep, run the emulator under
+//! *every* secret value and *every* heap layout the scenario ships,
 //! apply each observer's view to the concrete traces, and check that the
 //! number of distinct views never exceeds the static bound.
 //!
 //! This is the end-to-end soundness check: concrete `|view(Col_λ)| ≤
-//! cnt^π(v)` for each low input λ (heap layout).
+//! cnt^π(v)` for each low input λ (heap layout), for every channel and
+//! observer of the analyzed suite, with the interpreter memo both on and
+//! off — so the memo layers and the sink replay under them are checked
+//! against concrete semantics, not only against the naive abstract path.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use leakaudit::analyzer::Channel;
-use leakaudit::core::Observer;
-use leakaudit::scenarios::{self, Scenario};
+use leakaudit::analyzer::{Analysis, AnalysisConfig, Channel};
+use leakaudit::scenarios::{self, Registry, Scenario};
 
-/// Collects, per heap layout, the set of distinct observer views over all
-/// secrets, and checks it against the static count.
-fn check_scenario(s: &Scenario) {
-    let report = s.analyze().unwrap_or_else(|e| panic!("{}: {e}", s.name));
-    let b = s.block_bits;
-    let observers = [
-        Observer::address(),
-        Observer::block(b),
-        Observer::block(b).stuttering(),
-        Observer::bank(),
-        Observer::bank().stuttering(),
-        Observer::page(),
-    ];
-
+/// Collects, per heap layout, the set of distinct views over all secrets
+/// for every spec of `config`'s observer suite, and checks it against
+/// the static count of a memoized and of a naive analysis.
+fn check_scenario(s: &Scenario, config: &AnalysisConfig) {
+    assert!(!s.cases.is_empty(), "{}: no concrete cases", s.name);
     // layout -> traces of all secrets under that layout.
     let mut by_layout: BTreeMap<usize, Vec<leakaudit::x86::EmuTrace>> = BTreeMap::new();
     for case in &s.cases {
@@ -34,10 +28,18 @@ fn check_scenario(s: &Scenario) {
             .unwrap_or_else(|e| panic!("{}: {}: {e}", s.name, case.label));
         by_layout.entry(case.layout).or_default().push(trace);
     }
+    let suite = config.observer_suite();
 
-    for (layout, traces) in &by_layout {
-        for channel in [Channel::Instruction, Channel::Data, Channel::Shared] {
-            for obs in observers {
+    for interp_memo in [true, false] {
+        let report = Analysis::new(AnalysisConfig {
+            interp_memo,
+            ..config.clone()
+        })
+        .run(s)
+        .unwrap_or_else(|e| panic!("{}: {e}", s.name));
+        for (layout, traces) in &by_layout {
+            for spec in &suite {
+                let (channel, obs) = (spec.channel, spec.observer);
                 let views: BTreeSet<Vec<u64>> = traces
                     .iter()
                     .map(|t| {
@@ -52,15 +54,16 @@ fn check_scenario(s: &Scenario) {
                 let row = report
                     .rows()
                     .iter()
-                    .find(|r| r.spec.channel == channel && r.spec.observer == obs)
-                    .unwrap_or_else(|| panic!("missing row {channel}/{obs}"));
+                    .find(|r| r.spec == *spec)
+                    .unwrap_or_else(|| panic!("{}: missing row {channel}/{obs}", s.name));
                 // Huge counts (e.g. 2^1152) trivially dominate the handful
                 // of concrete cases; compare exactly when they fit in u64.
                 if let Some(bound) = row.count.to_u64() {
                     assert!(
                         views.len() as u64 <= bound,
-                        "{} layout {layout}: {channel}/{obs}: {} distinct \
-                         concrete views exceed the static bound {bound}",
+                        "{} layout {layout} (interp_memo {interp_memo}): \
+                         {channel}/{obs}: {} distinct concrete views exceed \
+                         the static bound {bound}",
                         s.name,
                         views.len()
                     );
@@ -70,44 +73,57 @@ fn check_scenario(s: &Scenario) {
     }
 }
 
+/// Checks one paper instance under its own configuration.
+fn check_instance(s: &Scenario) {
+    check_scenario(s, &s.analysis_config());
+}
+
+#[test]
+fn theorem_1_every_registry_cell() {
+    let registry = Registry::default_sweep();
+    for spec in registry.specs() {
+        check_scenario(&spec.build(), &spec.analysis_config());
+    }
+}
+
 #[test]
 fn theorem_1_square_and_multiply() {
-    check_scenario(&scenarios::square_multiply::libgcrypt_152());
+    check_instance(&scenarios::square_multiply::libgcrypt_152());
 }
 
 #[test]
 fn theorem_1_square_and_always_multiply_o2() {
-    check_scenario(&scenarios::square_always::libgcrypt_153_o2());
+    check_instance(&scenarios::square_always::libgcrypt_153_o2());
 }
 
 #[test]
 fn theorem_1_square_and_always_multiply_o0() {
-    check_scenario(&scenarios::square_always::libgcrypt_153_o0());
+    check_instance(&scenarios::square_always::libgcrypt_153_o0());
 }
 
 #[test]
 fn theorem_1_unprotected_lookup_o2() {
-    check_scenario(&scenarios::lookup_unprotected::libgcrypt_161_o2());
+    check_instance(&scenarios::lookup_unprotected::libgcrypt_161_o2());
 }
 
 #[test]
 fn theorem_1_unprotected_lookup_o1() {
-    check_scenario(&scenarios::lookup_unprotected::libgcrypt_161_o1());
+    check_instance(&scenarios::lookup_unprotected::libgcrypt_161_o1());
 }
 
 #[test]
 fn theorem_1_secure_retrieve() {
-    check_scenario(&scenarios::lookup_secure::libgcrypt_163());
+    check_instance(&scenarios::lookup_secure::libgcrypt_163());
 }
 
 #[test]
 fn theorem_1_scatter_gather() {
-    check_scenario(&scenarios::scatter_gather::openssl_102f());
+    check_instance(&scenarios::scatter_gather::openssl_102f());
 }
 
 #[test]
 fn theorem_1_defensive_gather() {
-    check_scenario(&scenarios::defensive_gather::openssl_102g());
+    check_instance(&scenarios::defensive_gather::openssl_102g());
 }
 
 #[test]
