@@ -30,10 +30,10 @@
 //!                 '{"op":"stream","job":0}' \
 //!                 '{"op":"ack","job":0}' \
 //!                 '{"op":"shutdown"}' | leakaudit-serve
-//! {"ok":true,"job":0,"cells":42}
+//! {"ok":true,"job":0,"cells":45}
 //! {"ok":true,"job":0,"cell":0,"id":"square-and-multiply[stride=0x40,b=6]",...}
 //! ... one line per cell ...
-//! {"ok":true,"job":0,"stream_done":true,"cells":42,"computed":42,"reused":0,...}
+//! {"ok":true,"job":0,"stream_done":true,"cells":45,"computed":29,"reused":0,"shared_pass":16,...}
 //! {"ok":true,"job":0,"acked":true}
 //! {"ok":true,"shutting_down":true}
 //! ```

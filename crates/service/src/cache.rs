@@ -522,9 +522,11 @@ pub fn encode_report(report: &LeakReport) -> String {
     out
 }
 
-/// Encodes one row as a flat JSON object (the line format of
-/// [`encode_report`], also used verbatim by the wire protocol so
-/// daemon responses are comparable bit-for-bit with disk entries).
+/// Encodes one row as a flat JSON object, the line format of
+/// [`encode_report`]. `bits` is spelled as Rust's shortest round-trip
+/// float (`1.0`, `2.321928094887362`). Daemon wire rows share the
+/// field order but spell an integral `bits` as an integer (`1`);
+/// [`decode_row`] reads both.
 pub fn encode_row(row: &LeakRow) -> String {
     format!(
         "{{\"channel\":{},\"offset_bits\":{},\"stuttering\":{},\
@@ -535,6 +537,23 @@ pub fn encode_row(row: &LeakRow) -> String {
         row.count.to_hex(),
         row.bits,
     )
+}
+
+/// Appends one row as the daemon's wire protocol spells it: the
+/// [`encode_row`] fields in the same order, with `bits` in the
+/// protocol's number spelling (integral values without a fraction).
+pub(crate) fn write_wire_row(out: &mut String, row: &LeakRow) -> fmt::Result {
+    write!(
+        out,
+        "{{\"channel\":{},\"offset_bits\":{},\"stuttering\":{},\"count_hex\":\"{}\",\"bits\":",
+        row.spec.channel.code(),
+        row.spec.observer.offset_bits(),
+        u8::from(row.spec.observer.is_stuttering()),
+        row.count.to_hex(),
+    )?;
+    crate::proto::write_num(out, row.bits)?;
+    out.push('}');
+    Ok(())
 }
 
 /// Decodes [`encode_report`]'s format. `None` on any structural or
@@ -622,6 +641,40 @@ mod tests {
             assert_eq!(a.spec, b.spec);
             assert_eq!(a.count, b.count);
             assert_eq!(a.bits.to_bits(), b.bits.to_bits(), "exact f64 identity");
+        }
+    }
+
+    #[test]
+    fn disk_and_wire_rows_spell_integral_bits_differently() {
+        let row = |count: u64, bits: f64| LeakRow {
+            spec: ObserverSpec {
+                channel: Channel::Data,
+                observer: Observer::block(6).stuttering(),
+            },
+            count: Natural::from(count),
+            bits,
+        };
+        let head = r#"{"channel":1,"offset_bits":6,"stuttering":1,"count_hex":"#;
+        for (row, disk_bits, wire_bits) in [
+            (row(2, 1.0), "1.0", "1"),
+            (
+                row(5, 5f64.log2()),
+                "2.321928094887362",
+                "2.321928094887362",
+            ),
+        ] {
+            let hex = row.count.to_hex();
+            let disk = encode_row(&row);
+            let mut wire = String::new();
+            write_wire_row(&mut wire, &row).unwrap();
+            assert_eq!(disk, format!(r#"{head}"{hex}","bits":{disk_bits}}}"#));
+            assert_eq!(wire, format!(r#"{head}"{hex}","bits":{wire_bits}}}"#));
+            for text in [&disk, &wire] {
+                let back = decode_row(text).expect("both spellings decode");
+                assert_eq!(back.spec, row.spec);
+                assert_eq!(back.count, row.count);
+                assert_eq!(back.bits.to_bits(), row.bits.to_bits(), "{text}");
+            }
         }
     }
 

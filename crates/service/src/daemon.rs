@@ -16,17 +16,17 @@
 //!
 //! ```text
 //! → {"op":"submit_sweep","registry":"default"}
-//! ← {"ok":true,"job":0,"cells":42}
+//! ← {"ok":true,"job":0,"cells":45}
 //! → {"op":"submit_sweep","specs":["scatter-gather[s=8,n=384,aligned,b=6]"],
 //!    "config":{"bank_bits":3,"budget":{"fuel":200000,"deadline_ms":5000}}}
 //! ← {"ok":true,"job":1,"cells":1}
 //! → {"op":"poll","job":0}
-//! ← {"ok":true,"job":0,"state":"running","done":3,"total":42,"cancelled":false}
+//! ← {"ok":true,"job":0,"state":"running","done":3,"total":45,"cancelled":false}
 //! → {"op":"result","job":0}
-//! ← {"ok":true,"job":0,"computed":26,"reused":0,"shared_pass":16,"wall_ms":…,"cells":[…]}
+//! ← {"ok":true,"job":0,"computed":29,"reused":0,"shared_pass":16,"wall_ms":…,"cells":[…]}
 //! → {"op":"stream","job":1}
-//! ← {"ok":true,"job":1,"cell":0,"id":…,"provenance":…,"rows":[…]}
-//! ← {"ok":true,"job":1,"stream_done":true,"cells":1,"computed":…,"reused":…}
+//! ← {"ok":true,"job":1,"cell":0,"id":…,"name":…,"key":…,"provenance":…,"elapsed_ms":…,"rows":[…]}
+//! ← {"ok":true,"job":1,"stream_done":true,"cells":1,"computed":…,"reused":…,"shared_pass":…,"wall_ms":…}
 //! → {"op":"ack","job":0}
 //! ← {"ok":true,"job":0,"acked":true}
 //! → {"op":"poll","job":0}
@@ -34,16 +34,23 @@
 //! → {"op":"cancel","job":1}
 //! ← {"ok":true,"job":1,"cancelled":true}
 //! → {"op":"stats"}
-//! ← {"ok":true,"cache":{…},"executor":{…},"jobs":2,"workers":…}
+//! ← {"ok":true,"cache":{…},…,"jobs":2,"executor":{…},…,"ops":{…},"workers":…}
 //! → {"op":"shutdown"}
 //! ← {"ok":true,"shutting_down":true}
 //! ```
 //!
 //! Scenario specs travel as their stable id strings
-//! (`ScenarioSpec::id`, parsed back via `FromStr`); leakage rows travel
-//! in the result-cache row encoding (counts as hex big-numbers, bounds
-//! as shortest-round-trip floats), so two responses — and the per-cell
-//! lines of a `stream` — are bit-comparable as text.
+//! (`ScenarioSpec::id`, parsed back via `FromStr`); leakage rows carry
+//! the result-cache row fields in the same order (counts as hex
+//! big-numbers, bounds as shortest-round-trip floats), except that an
+//! integral bound is spelled without a fraction (`"bits":1` on the
+//! wire, `"bits":1.0` on disk). Two responses — and the per-cell lines
+//! of a `stream` — are bit-comparable as text.
+//!
+//! `stats` carries an `ops` table with, per op, the request count,
+//! cumulative handling time (`us`) and response bytes; `result` and
+//! `stream` add `wait_us` (blocked on the job's cells) and `render_us`
+//! (writing cell text).
 //!
 //! `submit_sweep` takes an optional `config` override object (the
 //! request's [`AuditProfile`]): `block_bits`/`bank_bits`/`page_bits`
@@ -63,14 +70,16 @@
 //! as `{"ok":false,"error":"…"}` — the connection stays usable.
 
 use std::collections::HashMap;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 use leakaudit_analyzer::Budget;
 use leakaudit_cache::Policy;
 use leakaudit_scenarios::{Registry, ScenarioSpec};
 
-use crate::proto::Json;
+use crate::proto::{write_escaped, write_num, Json};
 use crate::sweep::{AuditProfile, SweepCell, SweepEngine, SweepProbe, SweepReport, SweepTicket};
 
 /// Completed jobs retained for repeated `result` requests. Above this,
@@ -78,6 +87,52 @@ use crate::sweep::{AuditProfile, SweepCell, SweepEngine, SweepProbe, SweepReport
 /// result cache — only the per-job response bookkeeping goes away), so
 /// a long-running daemon's job table stays bounded.
 const MAX_RETAINED_JOBS: usize = 64;
+
+/// The ops `stats` reports under `"ops"`, in this order. Request lines
+/// naming none of them (malformed JSON, unknown ops) are not counted.
+const OPS: [&str; 8] = [
+    "submit_sweep",
+    "poll",
+    "result",
+    "stream",
+    "ack",
+    "cancel",
+    "stats",
+    "shutdown",
+];
+
+/// Daemon-lifetime counters of one op: requests, handling time and
+/// response bytes; `result` and `stream` also split out the time spent
+/// waiting for the job's cells and rendering them into wire text.
+#[derive(Default)]
+struct OpCounters {
+    count: AtomicU64,
+    ns: AtomicU64,
+    bytes: AtomicU64,
+    wait_ns: AtomicU64,
+    render_ns: AtomicU64,
+}
+
+impl OpCounters {
+    fn to_json(&self, op: &'static str) -> Json {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let mut fields = vec![
+            ("count", Json::num(load(&self.count))),
+            ("us", Json::num(load(&self.ns) / 1000)),
+            ("bytes", Json::num(load(&self.bytes))),
+        ];
+        if matches!(op, "result" | "stream") {
+            fields.push(("wait_us", Json::num(load(&self.wait_ns) / 1000)));
+            fields.push(("render_us", Json::num(load(&self.render_ns) / 1000)));
+        }
+        Json::obj(fields)
+    }
+}
+
+fn add_time(counter: &AtomicU64, elapsed: Duration) {
+    let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+    counter.fetch_add(ns, Ordering::Relaxed);
+}
 
 /// One submitted job: still running (ticket) or collected (report).
 enum JobState {
@@ -103,6 +158,8 @@ pub struct Daemon {
     jobs: Mutex<HashMap<u64, Arc<JobSlot>>>,
     next_job: AtomicU64,
     shutdown: AtomicBool,
+    /// Per-op counters, indexed like [`OPS`].
+    ops: [OpCounters; OPS.len()],
 }
 
 impl Daemon {
@@ -114,6 +171,7 @@ impl Daemon {
             jobs: Mutex::new(HashMap::new()),
             next_job: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
+            ops: Default::default(),
         }
     }
 
@@ -146,16 +204,44 @@ impl Daemon {
     /// fired the moment the cell's analysis lands — plus a summary
     /// line, which is what lets a client render rows while the sweep is
     /// still running.
+    ///
+    /// Every line handled here is counted in `stats`' `"ops"` table.
     pub fn handle_line_into(&self, line: &str, emit: &mut dyn FnMut(&str)) {
-        match Json::parse(line.trim()) {
-            Ok(request) => self.handle_into(&request, emit),
-            Err(e) => emit(&error_response(&format!("invalid JSON: {e}")).to_string()),
+        let start = Instant::now();
+        let mut bytes = 0;
+        let mut counted = |response: &str| {
+            bytes += response.len();
+            emit(response);
+        };
+        let op = match Json::parse(line.trim()) {
+            Ok(request) => {
+                self.handle_into(&request, &mut counted);
+                request
+                    .get("op")
+                    .and_then(Json::as_str)
+                    .and_then(|op| self.counters(op))
+            }
+            Err(e) => {
+                counted(&error_response(&format!("invalid JSON: {e}")).to_string());
+                None
+            }
+        };
+        if let Some(op) = op {
+            op.count.fetch_add(1, Ordering::Relaxed);
+            add_time(&op.ns, start.elapsed());
+            op.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
         }
+    }
+
+    fn counters(&self, op: &str) -> Option<&OpCounters> {
+        OPS.iter().position(|&o| o == op).map(|i| &self.ops[i])
     }
 
     /// Handles one parsed single-response request (every op except
     /// `stream`, which needs [`Daemon::handle_line_into`]'s emitter and
-    /// answers an error here).
+    /// answers an error here). A `result` response carries its `cells`
+    /// as pre-rendered text ([`Json::Raw`]): print it, or parse the
+    /// printed text to inspect the cells.
     pub fn handle(&self, request: &Json) -> Json {
         let Some(op) = request.get("op").and_then(Json::as_str) else {
             return error_response("missing \"op\" field");
@@ -359,10 +445,17 @@ impl Daemon {
     /// Collects (waiting if needed) and renders a job's report. The
     /// report is kept, so repeated `result` requests re-serve it.
     fn result_response(&self, id: u64, slot: &JobSlot) -> Result<Json, String> {
+        let ops = self.counters("result").expect("result is a counted op");
+        let render = |report: &SweepReport| {
+            let start = Instant::now();
+            let response = result_json(id, report);
+            add_time(&ops.render_ns, start.elapsed());
+            response
+        };
         let taken = {
             let mut state = slot.state.lock().expect("job poisoned");
             match &*state {
-                JobState::Done(report) => return Ok(result_json(id, report)),
+                JobState::Done(report) => return Ok(render(report)),
                 JobState::Collecting => None,
                 JobState::Running(_) => {
                     match std::mem::replace(&mut *state, JobState::Collecting) {
@@ -375,19 +468,23 @@ impl Daemon {
         match taken {
             Some(ticket) => {
                 // Wait outside the slot lock so `poll` stays responsive.
+                let start = Instant::now();
                 let report = Arc::new(self.engine.collect(*ticket));
+                add_time(&ops.wait_ns, start.elapsed());
                 *slot.state.lock().expect("job poisoned") = JobState::Done(Arc::clone(&report));
                 slot.done.notify_all();
-                Ok(result_json(id, &report))
+                Ok(render(&report))
             }
             // Another client is collecting; park on the slot's condvar
             // until it stores the report (the collect itself happens
             // exactly once).
             None => {
+                let start = Instant::now();
                 let mut state = slot.state.lock().expect("job poisoned");
                 loop {
                     if let JobState::Done(report) = &*state {
-                        return Ok(result_json(id, report));
+                        add_time(&ops.wait_ns, start.elapsed());
+                        return Ok(render(report));
                     }
                     state = slot.done.wait(state).expect("job poisoned");
                 }
@@ -418,14 +515,14 @@ impl Daemon {
             }
         };
 
+        let ops = self.counters("stream").expect("stream is a counted op");
         let emit_cell = |emit: &mut dyn FnMut(&str), index: usize, cell: &SweepCell| {
-            let mut fields = vec![
-                ("ok".to_string(), Json::Bool(true)),
-                ("job".to_string(), Json::num(id)),
-                ("cell".to_string(), Json::num(index as u64)),
-            ];
-            fields.extend(cell_fields(cell));
-            emit(&Json::Obj(fields).to_string());
+            let start = Instant::now();
+            let mut line = String::new();
+            let head = format!("\"ok\":true,\"job\":{id},\"cell\":{index},");
+            write_cell(&mut line, &head, cell).expect("writing to a String cannot fail");
+            add_time(&ops.render_ns, start.elapsed());
+            emit(&line);
         };
         let emit_summary = |emit: &mut dyn FnMut(&str), report: &SweepReport| {
             emit(
@@ -472,11 +569,17 @@ impl Daemon {
         match taken {
             Some(ticket) => {
                 // The live path: this request owns the collection and
-                // pushes each cell as the engine hands it over.
-                let report = Arc::new(
-                    self.engine
-                        .collect_stream(*ticket, &mut |index, cell| emit_cell(emit, index, cell)),
-                );
+                // pushes each cell as the engine hands it over. Time
+                // spent in the callback is rendering and transport, not
+                // waiting.
+                let start = Instant::now();
+                let mut in_callback = Duration::ZERO;
+                let report = Arc::new(self.engine.collect_stream(*ticket, &mut |index, cell| {
+                    let at = Instant::now();
+                    emit_cell(emit, index, cell);
+                    in_callback += at.elapsed();
+                }));
+                add_time(&ops.wait_ns, start.elapsed().saturating_sub(in_callback));
                 *slot.state.lock().expect("job poisoned") = JobState::Done(Arc::clone(&report));
                 slot.done.notify_all();
                 emit_summary(emit, &report);
@@ -484,9 +587,11 @@ impl Daemon {
             None => {
                 // Another client is collecting; park until the report
                 // lands, then replay it.
+                let start = Instant::now();
                 let mut state = slot.state.lock().expect("job poisoned");
                 loop {
                     if let JobState::Done(report) = &*state {
+                        add_time(&ops.wait_ns, start.elapsed());
                         let report = Arc::clone(report);
                         drop(state);
                         replay(emit, &report);
@@ -582,6 +687,16 @@ impl Daemon {
                         ("sink_script_events", Json::num(memo.sink_script_events)),
                     ])
                 },
+            ),
+            (
+                // Daemon-lifetime per-op counters (see `OpCounters`).
+                "ops",
+                Json::Obj(
+                    OPS.iter()
+                        .zip(&self.ops)
+                        .map(|(&op, counters)| (op.to_string(), counters.to_json(op)))
+                        .collect(),
+                ),
             ),
             ("workers", Json::num(self.engine.workers() as u64)),
         ])
@@ -724,48 +839,56 @@ fn poll_response(id: u64, slot: &JobSlot) -> Json {
     ])
 }
 
-/// One cell's wire fields — shared verbatim between `result`'s `cells`
-/// array and `stream`'s per-cell lines, so the two encodings are
-/// textually bit-identical.
-fn cell_fields(cell: &SweepCell) -> Vec<(String, Json)> {
-    let mut fields = vec![
-        ("id".to_string(), Json::str(cell.spec.id())),
-        ("name".to_string(), Json::str(cell.name.clone())),
-        ("key".to_string(), Json::str(cell.key.to_hex())),
-        ("provenance".to_string(), Json::str(cell.provenance.tag())),
-        (
-            "elapsed_ms".to_string(),
-            Json::Num(cell.elapsed.as_secs_f64() * 1e3),
-        ),
-    ];
+/// Appends one cell's wire object to `out` in one pass: `{`, then
+/// `head` (the `stream` envelope fields, or nothing inside `result`'s
+/// `cells` array), then the cell's fields, with rows written straight
+/// from each [`LeakRow`](leakaudit_analyzer::LeakRow). `result` and
+/// `stream` share it, so a streamed cell carries exactly the text of
+/// its `result` entry.
+fn write_cell(out: &mut String, head: &str, cell: &SweepCell) -> fmt::Result {
+    out.push('{');
+    out.push_str(head);
+    out.push_str("\"id\":");
+    write_escaped(out, &cell.spec.id())?;
+    out.push_str(",\"name\":");
+    write_escaped(out, &cell.name)?;
+    write!(out, ",\"key\":\"{}\",\"provenance\":", cell.key.to_hex())?;
+    write_escaped(out, cell.provenance.tag())?;
+    out.push_str(",\"elapsed_ms\":");
+    write_num(out, cell.elapsed.as_secs_f64() * 1e3)?;
     match &cell.result {
         Ok(leak) => {
-            let rows: Vec<Json> = leak
-                .rows()
-                .iter()
-                .map(|row| {
-                    // The result-cache row encoding, re-parsed into
-                    // the value model: wire rows and disk rows stay
-                    // textually comparable.
-                    Json::parse(&crate::cache::encode_row(row)).expect("row encoding is valid JSON")
-                })
-                .collect();
-            fields.push(("rows".to_string(), Json::Arr(rows)));
+            out.push_str(",\"rows\":[");
+            for (i, row) in leak.rows().iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                crate::cache::write_wire_row(out, row)?;
+            }
+            out.push(']');
         }
-        Err(e) => fields.push(("error".to_string(), Json::str(e.to_string()))),
+        Err(e) => {
+            out.push_str(",\"error\":");
+            write_escaped(out, &e.to_string())?;
+        }
     }
     if let Some(cycles) = cell.cycles {
-        fields.push(("cycles".to_string(), Json::num(cycles)));
+        out.push_str(",\"cycles\":");
+        write_num(out, cycles as f64)?;
     }
-    fields
+    out.push('}');
+    Ok(())
 }
 
 fn result_json(id: u64, report: &SweepReport) -> Json {
-    let cells: Vec<Json> = report
-        .cells()
-        .iter()
-        .map(|cell| Json::Obj(cell_fields(cell)))
-        .collect();
+    let mut cells = String::from("[");
+    for (i, cell) in report.cells().iter().enumerate() {
+        if i > 0 {
+            cells.push(',');
+        }
+        write_cell(&mut cells, "", cell).expect("writing to a String cannot fail");
+    }
+    cells.push(']');
     Json::obj([
         ("ok", Json::Bool(true)),
         ("job", Json::num(id)),
@@ -773,7 +896,7 @@ fn result_json(id: u64, report: &SweepReport) -> Json {
         ("reused", Json::num(report.reused() as u64)),
         ("shared_pass", Json::num(report.shared_pass() as u64)),
         ("wall_ms", Json::Num(report.wall_time().as_secs_f64() * 1e3)),
-        ("cells", Json::Arr(cells)),
+        ("cells", Json::Raw(cells)),
     ])
 }
 
@@ -948,6 +1071,23 @@ mod tests {
             "sink hit split must sum to total"
         );
         assert!(sink_events >= sink_hits, "a hit covers at least one event");
+
+        // Per-op counters: one line of each op so far, the result split
+        // into waiting and rendering within its total.
+        let ops = stats.get("ops").unwrap();
+        let op = |name: &str, field: &str| {
+            ops.get(name)
+                .and_then(|o| o.get(field))
+                .and_then(Json::as_u64)
+                .unwrap()
+        };
+        assert_eq!(op("submit_sweep", "count"), 1);
+        assert_eq!(op("result", "count"), 1);
+        assert_eq!(op("stream", "count"), 0);
+        assert_eq!(op("stats", "count"), 0, "counted after it answers");
+        assert!(op("result", "bytes") > 0);
+        assert!(op("result", "render_us") + op("result", "wait_us") <= op("result", "us"));
+        assert!(ops.get("poll").unwrap().get("render_us").is_none());
 
         assert!(!d.is_shutdown());
         let bye = Json::parse(&d.handle_line(r#"{"op":"shutdown"}"#)).unwrap();

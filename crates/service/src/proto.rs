@@ -30,6 +30,10 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object, insertion-ordered (serialization is deterministic).
     Obj(Vec<(String, Json)>),
+    /// Already-serialized JSON text, printed verbatim. Output-only:
+    /// [`Json::parse`] never produces it, and the producer guarantees
+    /// the text is the exact serialization of the value it stands for.
+    Raw(String),
 }
 
 impl Json {
@@ -113,13 +117,7 @@ impl fmt::Display for Json {
         match self {
             Json::Null => f.write_str("null"),
             Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 2f64.powi(53) {
-                    write!(f, "{}", *n as i64)
-                } else {
-                    write!(f, "{n:?}")
-                }
-            }
+            Json::Num(n) => write_num(f, *n),
             Json::Str(s) => write_escaped(f, s),
             Json::Arr(items) => {
                 f.write_str("[")?;
@@ -142,24 +140,45 @@ impl fmt::Display for Json {
                 }
                 f.write_str("}")
             }
+            Json::Raw(text) => f.write_str(text),
         }
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
-        }
+/// The wire's one number spelling: an integral value (below 2⁵³) as an
+/// integer, anything else as the shortest text that round-trips.
+pub(crate) fn write_num(out: &mut impl fmt::Write, n: f64) -> fmt::Result {
+    if n.fract() == 0.0 && n.abs() < 2f64.powi(53) {
+        write!(out, "{}", n as i64)
+    } else {
+        write!(out, "{n:?}")
     }
-    f.write_str("\"")
+}
+
+/// Writes `s` as a quoted JSON string, copying each run of characters
+/// that need no escape in one `write_str`.
+pub(crate) fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut run = 0;
+    // Every escaped character is ASCII, so byte offsets of escapes are
+    // always char boundaries.
+    for (at, byte) in s.bytes().enumerate() {
+        if !matches!(byte, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        out.write_str(&s[run..at])?;
+        match byte {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            _ => write!(out, "\\u{byte:04x}")?,
+        }
+        run = at + 1;
+    }
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
 
 struct Parser<'a> {

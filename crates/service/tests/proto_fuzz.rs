@@ -164,8 +164,57 @@ fn specish_id() -> impl Strategy<Value = String> {
         .prop_map(|(family, fields)| format!("{family}[{}]", fields.join(",")))
 }
 
+/// The char-by-char JSON string escaper the serializer once used, kept
+/// as the reference its run-copying escaper must agree with.
+fn escape_reference(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// Characters biased toward what escaping must get right: every control
+/// character, quote, backslash, non-ASCII text (multi-byte UTF-8 right
+/// next to escapes), and any Unicode scalar value.
+fn string_char() -> impl Strategy<Value = char> {
+    prop_oneof![
+        (0u32..0x20).prop_filter_map("control character", char::from_u32),
+        proptest::sample::select(vec![
+            '"', '\\', '/', 'a', ' ', '\u{7f}', 'é', '€', '\u{2028}', '😀'
+        ]),
+        (0u32..0x11_0000).prop_filter_map("scalar value", char::from_u32),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn string_escaping_matches_the_char_by_char_reference(
+        chars in proptest::collection::vec(string_char(), 0..40),
+    ) {
+        let s: String = chars.into_iter().collect();
+        let reference = escape_reference(&s);
+        let value = Json::str(s.clone());
+        let printed = value.to_string();
+        prop_assert_eq!(&printed, &reference);
+        // Object keys take the same path.
+        let object = Json::Obj(vec![(s.clone(), Json::Null)]).to_string();
+        prop_assert_eq!(object, format!("{{{reference}:null}}"));
+        let back = Json::parse(&printed)
+            .map_err(|e| TestCaseError::fail(format!("{printed:?}: {e}")))?;
+        prop_assert_eq!(back, value, "escaped text must parse back");
+    }
 
     #[test]
     fn json_parser_never_panics_and_round_trips_what_it_accepts(
