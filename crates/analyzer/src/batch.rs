@@ -519,18 +519,13 @@ struct ExecutorShared {
     replay_ns: AtomicU64,
     /// Cumulative counting time, in nanoseconds.
     count_ns: AtomicU64,
-    /// Cumulative memo counters, interpreter- and sink-side (see
-    /// [`crate::MemoStats`]).
+    /// Cumulative interpreter-memo counters (see [`crate::MemoStats`]).
     transfer_hits: AtomicU64,
     transfer_misses: AtomicU64,
     script_replays: AtomicU64,
     script_replays_lone: AtomicU64,
     script_replays_forked: AtomicU64,
     script_steps: AtomicU64,
-    sink_script_hits: AtomicU64,
-    sink_script_hits_lone: AtomicU64,
-    sink_script_hits_forked: AtomicU64,
-    sink_script_events: AtomicU64,
 }
 
 impl ExecutorShared {
@@ -556,14 +551,6 @@ impl ExecutorShared {
             .fetch_add(m.script_replays_forked, Ordering::Relaxed);
         self.script_steps
             .fetch_add(m.script_steps, Ordering::Relaxed);
-        self.sink_script_hits
-            .fetch_add(m.sink_script_hits, Ordering::Relaxed);
-        self.sink_script_hits_lone
-            .fetch_add(m.sink_script_hits_lone, Ordering::Relaxed);
-        self.sink_script_hits_forked
-            .fetch_add(m.sink_script_hits_forked, Ordering::Relaxed);
-        self.sink_script_events
-            .fetch_add(m.sink_script_events, Ordering::Relaxed);
     }
 }
 
@@ -630,10 +617,6 @@ impl Executor {
             script_replays_lone: AtomicU64::new(0),
             script_replays_forked: AtomicU64::new(0),
             script_steps: AtomicU64::new(0),
-            sink_script_hits: AtomicU64::new(0),
-            sink_script_hits_lone: AtomicU64::new(0),
-            sink_script_hits_forked: AtomicU64::new(0),
-            sink_script_events: AtomicU64::new(0),
         });
         let workers = (0..threads)
             .map(|_| {
@@ -687,10 +670,7 @@ impl Executor {
             script_replays_lone: self.shared.script_replays_lone.load(Ordering::Relaxed),
             script_replays_forked: self.shared.script_replays_forked.load(Ordering::Relaxed),
             script_steps: self.shared.script_steps.load(Ordering::Relaxed),
-            sink_script_hits: self.shared.sink_script_hits.load(Ordering::Relaxed),
-            sink_script_hits_lone: self.shared.sink_script_hits_lone.load(Ordering::Relaxed),
-            sink_script_hits_forked: self.shared.sink_script_hits_forked.load(Ordering::Relaxed),
-            sink_script_events: self.shared.sink_script_events.load(Ordering::Relaxed),
+            sink_script_events: 0,
         }
     }
 

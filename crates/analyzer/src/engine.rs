@@ -9,8 +9,9 @@
 //!   points, and the fuel/configuration resource limits. It publishes
 //!   every trace-relevant action as a [`crate::sink::TraceEvent`].
 //! * [`crate::sink`] owns *observation* — one [`crate::sink::DagSink`]
-//!   per observer spec replays the event stream against its own trace
-//!   DAG and produces the Theorem 1 leakage bound for its observer.
+//!   per offset-bits class of observer specs replays the event stream
+//!   against one trace DAG per spec and produces the Theorem 1 leakage
+//!   bound for each observer.
 //!
 //! Because the sinks are mutually independent, the pipeline buffers the
 //! event stream and replays it through each sink a chunk at a time: the
@@ -21,7 +22,7 @@
 use leakaudit_x86::Program;
 
 use crate::report::{LeakReport, LeakRow, MemoStats, ObserverSpec};
-use crate::sink::{ConfigId, DagSink, ObserverSink};
+use crate::sink::{ConfigId, DagSink};
 use crate::state::InitState;
 use crate::{scheduler, sink, AnalysisConfig, AnalysisError};
 
@@ -34,7 +35,7 @@ use crate::{scheduler, sink, AnalysisConfig, AnalysisError};
 /// to the member lanes whose channel sees the access. Because every
 /// granularity resolves each distinct address set exactly once, the
 /// sinks need no pass-wide projection sharing.
-fn class_sinks(suite: &[ObserverSpec]) -> Vec<Box<dyn ObserverSink>> {
+fn class_sinks(suite: &[ObserverSpec]) -> Vec<DagSink> {
     let mut classes: Vec<(u8, Vec<ObserverSpec>)> = Vec::new();
     for &spec in suite {
         let key = spec.observer.offset_bits();
@@ -45,9 +46,7 @@ fn class_sinks(suite: &[ObserverSpec]) -> Vec<Box<dyn ObserverSink>> {
     }
     classes
         .into_iter()
-        .map(|(_, members)| {
-            Box::new(DagSink::for_class(&members, ConfigId::ROOT)) as Box<dyn ObserverSink>
-        })
+        .map(|(_, members)| DagSink::for_class(&members, ConfigId::ROOT))
         .collect()
 }
 
@@ -69,27 +68,9 @@ fn reorder_rows(mut rows: Vec<LeakRow>, suite: &[ObserverSpec]) -> Vec<LeakRow> 
         .collect()
 }
 
-/// Runs the abstract interpretation of `program` from its entry to `hlt`,
-/// bounding the leakage for every observer in the suite.
-pub(crate) fn run(
-    config: &AnalysisConfig,
-    program: &Program,
-    init: &InitState,
-) -> Result<LeakReport, AnalysisError> {
-    let suite = config.observer_suite();
-    let sinks = class_sinks(&suite);
-    let mut memo = MemoStats::default();
-    let (rows, timings, sink_memo) = sink::run_pipeline(sinks, |bus| {
-        scheduler::drive(config, program, init, bus, &mut memo)
-    })?;
-    memo.accumulate(&sink_memo);
-    Ok(LeakReport::new(reorder_rows(rows, &suite))
-        .with_timings(timings)
-        .with_memo(memo))
-}
-
-/// Runs one abstract interpretation of `program` for an interpretation
-/// group: `lead` drives the scheduler (its interpretation fields are
+/// Runs one abstract interpretation of `program` from its entry to `hlt`
+/// for an interpretation group (a lone analysis is the group with no
+/// members): `lead` drives the scheduler (its interpretation fields are
 /// shared by every `member` — the service groups cells by exactly those
 /// fields), and the attached sinks are the first-occurrence union of
 /// the lead's observer suite and every member's.
@@ -117,10 +98,9 @@ pub(crate) fn run_union(
     }
     let sinks = class_sinks(&union);
     let mut memo = MemoStats::default();
-    let (rows, timings, sink_memo) = sink::run_pipeline(sinks, |bus| {
+    let (rows, timings) = sink::run_pipeline(sinks, |bus| {
         scheduler::drive(lead, program, init, bus, &mut memo)
     })?;
-    memo.accumulate(&sink_memo);
     Ok(LeakReport::new(reorder_rows(rows, &union))
         .with_timings(timings)
         .with_memo(memo))

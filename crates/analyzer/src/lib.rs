@@ -425,7 +425,7 @@ impl Analysis {
     /// unresolvable control flow.
     pub fn run(&self, target: &impl AnalysisTarget) -> Result<LeakReport, AnalysisError> {
         let init = target.init_state();
-        engine::run(&self.config, target.program(), &init)
+        engine::run_union(&self.config, &[], target.program(), &init)
     }
 
     /// Drives one abstract interpretation of `target`, publishing the

@@ -415,15 +415,6 @@ pub(crate) struct ScriptEntry {
     /// order-preserving when this stays strictly below every other
     /// configuration's pc — see the module docs.
     pub max_interior_pc: u32,
-    /// Run-unique token assigned by the decode cache when the script is
-    /// stored. Emitted with every replay so the sinks can memoize the
-    /// script's DAG delta (see the sink module's script memo); 0 until
-    /// assigned.
-    pub id: u32,
-    /// Trace events one replay of this script emits: one fetch plus the
-    /// data accesses of each step. Lets the scheduler announce "script
-    /// `id`, `events` events" ahead of the run.
-    pub events: u32,
 }
 
 impl ScriptEntry {
@@ -624,18 +615,11 @@ impl ScriptRecorder {
         if self.need_stamp {
             toks.push(PreTok::Stamp(self.pre_stamp));
         }
-        let events = self
-            .steps
-            .iter()
-            .map(|s| 1 + s.effect.accesses.len() as u32)
-            .sum();
         Some(ScriptEntry {
             toks,
             steps: self.steps,
             end_pc,
             max_interior_pc: self.max_interior,
-            id: 0,
-            events,
         })
     }
 }

@@ -66,17 +66,8 @@ pub struct MemoStats {
     pub script_replays_forked: u64,
     /// Abstract steps covered by script replays.
     pub script_steps: u64,
-    /// Sink-side script-delta hits: whole scripted event runs a
-    /// `DagSink` applied as one bulk DAG delta instead of per-event
-    /// cursor updates (lone + forked).
-    pub sink_script_hits: u64,
-    /// Sink script hits whose script replayed with no fork sibling live.
-    pub sink_script_hits_lone: u64,
-    /// Sink script hits whose script replayed while fork siblings were
-    /// live; always ≤ `sink_script_hits`.
-    pub sink_script_hits_forked: u64,
-    /// Trace events covered by sink script hits (per-event replay work
-    /// skipped).
+    /// Always 0: every trace event replays through the per-event DAG
+    /// update. Kept because the benchmark client names it.
     pub sink_script_events: u64,
 }
 
@@ -89,10 +80,6 @@ impl MemoStats {
         self.script_replays_lone += other.script_replays_lone;
         self.script_replays_forked += other.script_replays_forked;
         self.script_steps += other.script_steps;
-        self.sink_script_hits += other.sink_script_hits;
-        self.sink_script_hits_lone += other.sink_script_hits_lone;
-        self.sink_script_hits_forked += other.sink_script_hits_forked;
-        self.sink_script_events += other.sink_script_events;
     }
 }
 

@@ -139,9 +139,6 @@ pub(crate) struct DecodeCache {
     /// segment at a time, so the segment scan almost always resolves on
     /// its first probe.
     last: usize,
-    /// Monotone id source for stored scripts: every script gets a
-    /// run-unique token the sinks key their delta memos on.
-    next_script_id: u32,
 }
 
 impl DecodeCache {
@@ -158,11 +155,7 @@ impl DecodeCache {
             .iter()
             .position(|s| s.contains(entry))
             .unwrap_or(0);
-        DecodeCache {
-            segments,
-            last,
-            next_script_id: 0,
-        }
+        DecodeCache { segments, last }
     }
 
     /// The `(segment index, byte offset)` of `pc`, trying the
@@ -235,12 +228,8 @@ impl DecodeCache {
         }
     }
 
-    /// Stores a finalized script under its start pc, tagging it with a
-    /// run-unique id (ids are only ever compared for equality, so a slot
-    /// miss wasting one is harmless).
-    fn store_script(&mut self, start_pc: u32, mut entry: memo::ScriptEntry) {
-        entry.id = self.next_script_id;
-        self.next_script_id = self.next_script_id.wrapping_add(1);
+    /// Stores a finalized script under its start pc.
+    fn store_script(&mut self, start_pc: u32, entry: memo::ScriptEntry) {
         if let Some(slot) = self.existing_slot(start_pc) {
             slot.scripts.get_or_insert_with(Box::default).insert(entry);
         }
@@ -252,13 +241,6 @@ impl DecodeCache {
 /// recorded, and fork trees deep enough to exceed this keep their
 /// hottest recordings (the ones started first) alive.
 const RECORDER_CAP: usize = 8;
-
-/// Smallest per-replay event count worth a [`TraceEvent::Script`]
-/// marker. A marker costs each sink roughly one event's dispatch, so
-/// announcing a script that emits a single event trades one dispatch
-/// for another and loses the marker overhead outright; interpreter-side
-/// replay (which needs no marker) still covers those runs.
-const MIN_MARKER_EVENTS: u32 = 2;
 
 /// The active script recordings, one per live configuration (PR 8 kept
 /// a single recorder and required a lone configuration; per-config
@@ -471,18 +453,6 @@ pub(crate) fn drive(
                             && steps + l <= config.fuel
                             && config.budget.fuel.is_none_or(|bf| steps + l <= bf)
                         {
-                            // Announce the run so sinks that memoize
-                            // per-script DAG deltas can recognize (and
-                            // eventually bulk-apply) the events that
-                            // follow. Plain collectors see nothing: the
-                            // default `emit_script` is a no-op. Runs
-                            // shorter than the marker itself are not
-                            // announced: handling a marker costs a sink
-                            // about as much as dispatching one event, so
-                            // a single-event script can never repay it.
-                            if entry.events >= MIN_MARKER_EVENTS {
-                                bus.emit_script(current.id, entry.id, entry.events, !lone);
-                            }
                             for step in &entry.steps {
                                 bus.emit(TraceEvent::access(
                                     current.id,

@@ -1,5 +1,5 @@
-//! The observer-sink pipeline: per-observer trace bookkeeping behind a
-//! trait, decoupled from configuration scheduling.
+//! The observer-sink pipeline: per-observer trace bookkeeping,
+//! decoupled from configuration scheduling.
 //!
 //! # Why a pipeline
 //!
@@ -8,8 +8,8 @@
 //! program counters and abstract machine states. Trace bookkeeping is a
 //! pure *consumer* of what the scheduler does. This module exploits that
 //! one-way data flow: the single abstract-interpretation pass emits a
-//! stream of [`TraceEvent`]s, and one [`ObserverSink`] per observer spec
-//! replays the stream against its own [`TraceDag`]. Sinks never
+//! stream of [`TraceEvent`]s, and one [`DagSink`] per observer class
+//! replays the stream against its own [`TraceDag`]s. Sinks never
 //! communicate with each other, so the pipeline buffers the stream and
 //! hands each chunk to every sink in turn — one engine pass feeds the
 //! whole observer suite instead of interleaving 18 cursor updates into
@@ -32,10 +32,10 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::time::{Duration, Instant};
 
-use leakaudit_core::{Cursor, DagStep, Label, MemoKey, ObsSet, TraceDag, ValueSet};
+use leakaudit_core::{Cursor, MemoKey, ObsSet, TraceDag, ValueSet};
 use leakaudit_mpi::Natural;
 
-use crate::report::{Channel, LeakRow, MemoStats, ObserverSpec, PhaseTimings};
+use crate::report::{Channel, LeakRow, ObserverSpec, PhaseTimings};
 
 /// FxHash-style multiply-xor hasher (the rustc/Firefox construction):
 /// [`MemoKey`]s are hashed once per trace event per sink, so SipHash's
@@ -170,26 +170,6 @@ pub enum TraceEvent {
         /// The halting configuration.
         config: ConfigId,
     },
-    /// A script token: the next `events` events on the bus are the
-    /// `Access` events of one replay of interpreter script `script` for
-    /// configuration `config`, emitted back to back (the scheduler
-    /// replays a script synchronously, so no other event can interleave
-    /// and markers never nest). Purely an announcement — the access
-    /// events that follow are complete on their own, so sinks without a
-    /// script memo simply ignore it. [`DagSink`] uses the token to
-    /// memoize the run's net DAG delta per lane and, once recorded,
-    /// apply it in bulk instead of replaying the run event by event.
-    Script {
-        /// The configuration whose script is replaying.
-        config: ConfigId,
-        /// Run-unique script id (see the interpreter's decode cache).
-        script: u32,
-        /// Number of `Access` events one replay emits.
-        events: u32,
-        /// Whether fork siblings were live during the replay (the
-        /// lone/forked split of the sink hit counters).
-        forked: bool,
-    },
 }
 
 impl TraceEvent {
@@ -203,138 +183,14 @@ impl TraceEvent {
     }
 }
 
-/// Trace bookkeeping for one *equivalence class* of observers fed by the
-/// scheduler's event stream.
-///
-/// Implementations own whatever state their observers need (for the
-/// paper's analysis: one [`TraceDag`] plus one cursor per live
-/// configuration, per observer) and produce one [`LeakRow`] per served
-/// spec when the stream ends. Most sinks serve a single spec; the class
-/// sink built by [`DagSink::for_class`] serves every spec of one
-/// (channel, offset-bits) class from a shared per-event front end.
-pub trait ObserverSink {
-    /// Consumes one scheduler event.
-    fn absorb(&mut self, event: &TraceEvent);
-
-    /// Consumes a batch of events. The default forwards to
-    /// [`ObserverSink::absorb`]; the pipeline's chunked bus calls this so a
-    /// sink's per-chunk setup (if any) runs once per chunk.
-    fn absorb_chunk(&mut self, events: &[TraceEvent]) {
-        for event in events {
-            self.absorb(event);
-        }
-    }
-
-    /// Finishes the stream: count traces and convert to leakage bounds,
-    /// one row per served spec, in the sink's row order.
-    fn into_rows(self: Box<Self>) -> Vec<LeakRow>;
-
-    /// The memo counters this sink accumulated (sink-side script
-    /// replay). The default reports none; the pipeline reads this just
-    /// before [`ObserverSink::into_rows`] and folds it into the run's
-    /// [`MemoStats`].
-    fn memo_stats(&self) -> MemoStats {
-        MemoStats::default()
-    }
-}
-
-/// Consecutive failed bulk-apply guards (or broken recordings) before a
-/// lane stops re-recording a script's delta, mirroring the interpreter
-/// memo's cooldown: a script whose entry context never stabilizes pays
-/// the journaling a bounded number of times, with a periodic retry
-/// (every 16th sight) so late-stabilizing contexts can warm back up.
-const SCRIPT_COLD_CAP: u8 = 12;
-
-/// One lane's memo slot for one interpreter script.
-struct LaneScript {
-    state: ScriptState,
-    /// Consecutive guard failures / broken recordings (see
-    /// [`SCRIPT_COLD_CAP`]).
-    cold: u8,
-}
-
-/// The two-touch lifecycle of a lane's script delta: the first sight of
-/// a script merely primes the slot (scripts that replay once cost no
-/// journaling), the second records the per-event steps, the third and
-/// later apply the recorded delta in bulk whenever the guard passes.
-enum ScriptState {
-    /// Seen once: journal on the next sight.
-    Primed,
-    /// Recorded: apply in bulk when the guard passes.
-    Ready(ScriptDelta),
-}
-
-/// The net cursor transition of one script run through one lane: the
-/// frontier ("entry") vertex context it was journaled against, the
-/// in-place repetition bumps it applies to that vertex, and the chain of
-/// appended vertices. Deliberately free of vertex ids — labels and
-/// observations only — so a delta survives DAG compaction.
-///
-/// Validity argument: every vertex the chain appends is fresh, so its
-/// step decisions depend only on the (fixed) script observation
-/// sequence and the lane's stuttering flag. The only live state a
-/// replay consults is the entry vertex — its label (stutter/bump vs
-/// extend) and its exclusivity (bump vs extend) — which is exactly what
-/// the guard pins. Projection is deterministic per address set, so the
-/// same script yields the same observations every run.
-struct ScriptDelta {
-    /// Label of the entry vertex at journal time.
-    entry_label: Label,
-    /// Whether the entry vertex was exclusively owned at journal time.
-    entry_exclusive: bool,
-    /// Bump steps taken on the entry vertex before the first extend.
-    entry_bumps: u64,
-    /// Appended vertices: one `(observation, repetitions)` link per
-    /// extend, with the following bumps folded into the count.
-    chain: Vec<(ObsSet, u64)>,
-    /// Whether this lane consumed any event of the run at all. An
-    /// untouched delta (channel-invisible script) replays as a no-op
-    /// under *any* frontier, so the guard skips the entry checks — a
-    /// data lane must not veto a fetch-only script over an unrelated
-    /// frontier change.
-    touched: bool,
-    /// The journaled run broke the singleton-frontier shape (or the bus
-    /// contract) mid-script: discard instead of storing at finish.
-    broken: bool,
-}
-
-impl ScriptDelta {
-    /// A journal opened against the given entry context (`None` when the
-    /// frontier was not a singleton — recorded as already broken).
-    fn open(entry: Option<(Label, bool)>) -> ScriptDelta {
-        let broken = entry.is_none();
-        let (entry_label, entry_exclusive) = entry.unwrap_or((Label::Epsilon, false));
-        ScriptDelta {
-            entry_label,
-            entry_exclusive,
-            entry_bumps: 0,
-            chain: Vec::new(),
-            touched: false,
-            broken,
-        }
-    }
-}
-
-/// One observer's replay state inside a [`DagSink`]: its own DAG, its
+/// One observer's replay state inside a [`DagSink`]: its own DAG and its
 /// cursor table (dense, indexed by [`ConfigId`] — ids are allocated
-/// monotonically from zero, so the table stays small and hash-free),
-/// and its script delta memo.
+/// monotonically from zero, so the table stays small and hash-free).
 struct Lane {
     spec: ObserverSpec,
     dag: TraceDag,
     cursors: Vec<Option<Cursor>>,
     finals: Option<Cursor>,
-    /// Per-script delta memo, indexed by the run-unique script id. The
-    /// decode cache allocates ids densely from zero, so a flat table
-    /// replaces two hash probes per marker per lane with direct loads —
-    /// markers outnumber the events they elide only a few to one, so
-    /// per-marker cost decides whether the script memo pays for itself.
-    /// Entries survive compaction (no vertex ids inside).
-    scripts: Vec<Option<LaneScript>>,
-    /// The journal of the script run currently replaying per event
-    /// through this lane: `(script id, replaying config, delta so far)`.
-    /// Moved into `scripts` when the sink sees the run's last event.
-    journal: Option<(u32, ConfigId, ScriptDelta)>,
 }
 
 impl Lane {
@@ -345,8 +201,6 @@ impl Lane {
             dag,
             cursors: Vec::new(),
             finals: None,
-            scripts: Vec::new(),
-            journal: None,
         };
         lane.put(initial, cursor);
         lane
@@ -385,154 +239,12 @@ impl Lane {
         self.maybe_compact();
     }
 
-    /// Advances `config`'s cursor by one observation. A live journal for
-    /// `config` records the step this event takes; the mutation path is
-    /// shared, so observing cannot change it.
+    /// Advances `config`'s cursor by one observation (the §6.4 update
+    /// rule).
     fn access(&mut self, config: ConfigId, obs: &ObsSet) {
         let cur = self.take(config);
-        let cur = match self.journal.as_mut() {
-            Some((_, jc, delta)) if *jc == config && !delta.broken => {
-                delta.touched = true;
-                if cur.vertices().len() == 1 {
-                    let (cur, step) = self.dag.update_observed(cur, obs);
-                    match step {
-                        DagStep::Stutter => {}
-                        DagStep::Bump => match delta.chain.last_mut() {
-                            Some(link) => link.1 += 1,
-                            None => delta.entry_bumps += 1,
-                        },
-                        DagStep::Extend => delta.chain.push((obs.clone(), 1)),
-                    }
-                    cur
-                } else {
-                    // A multi-vertex frontier mid-script cannot be
-                    // captured by the singleton-shaped delta.
-                    delta.broken = true;
-                    self.dag.update(cur, obs)
-                }
-            }
-            _ => self.dag.update(cur, obs),
-        };
+        let cur = self.dag.update(cur, obs);
         self.put(config, cur);
-    }
-
-    /// Whether the recorded delta for `script` may be applied in bulk to
-    /// `config`'s cursor right now: the slot is ready and the live entry
-    /// context matches the journaled one (vacuously for a delta this
-    /// lane never saw an event of).
-    fn script_ready(&self, script: u32, config: ConfigId) -> bool {
-        let Some(Some(LaneScript {
-            state: ScriptState::Ready(delta),
-            ..
-        })) = self.scripts.get(script as usize)
-        else {
-            return false;
-        };
-        if !delta.touched {
-            return true;
-        }
-        match self.cursors.get(config.0 as usize).and_then(Option::as_ref) {
-            Some(cur) => match cur.vertices() {
-                &[v] => {
-                    *self.dag.label(v) == delta.entry_label
-                        && self.dag.is_exclusive(v) == delta.entry_exclusive
-                }
-                _ => false,
-            },
-            None => false,
-        }
-    }
-
-    /// Applies the recorded delta for `script` in bulk. Caller must have
-    /// checked [`Lane::script_ready`].
-    fn apply_script(&mut self, script: u32, config: ConfigId) {
-        let slot = self.scripts[script as usize]
-            .as_mut()
-            .expect("checked ready");
-        slot.cold = 0;
-        let ScriptState::Ready(delta) = &slot.state else {
-            unreachable!("checked ready")
-        };
-        if !delta.touched {
-            return;
-        }
-        let cur = self.cursors[config.0 as usize]
-            .take()
-            .expect("cursor present for config");
-        let cur = self
-            .dag
-            .apply_script_delta(cur, delta.entry_bumps, &delta.chain);
-        self.cursors[config.0 as usize] = Some(cur);
-    }
-
-    /// Script marker on the per-event fallback path: advance this lane's
-    /// memo state for `script`, opening a journal when this sight should
-    /// record (second sight, or a guard-failed re-record within the
-    /// cooldown). `self_ready` says this lane's own guard passed — a
-    /// sibling lane forced the fallback — so its delta is kept as is
-    /// (re-journaling would record the identical delta).
-    fn script_fallback(&mut self, script: u32, config: ConfigId, self_ready: bool) {
-        let idx = script as usize;
-        if idx >= self.scripts.len() {
-            self.scripts.resize_with(idx + 1, || None);
-        }
-        let slot = match &mut self.scripts[idx] {
-            vacant @ None => {
-                *vacant = Some(LaneScript {
-                    state: ScriptState::Primed,
-                    cold: 0,
-                });
-                return;
-            }
-            Some(slot) => slot,
-        };
-        let record = match &slot.state {
-            ScriptState::Primed => true,
-            ScriptState::Ready(_) if self_ready => false,
-            ScriptState::Ready(_) => {
-                slot.cold = slot.cold.saturating_add(1);
-                true
-            }
-        };
-        if !record || (slot.cold >= SCRIPT_COLD_CAP && slot.cold & 0x0F != 0) {
-            return;
-        }
-        let entry = self
-            .cursors
-            .get(config.0 as usize)
-            .and_then(Option::as_ref)
-            .and_then(|cur| match cur.vertices() {
-                &[v] => Some((self.dag.label(v).clone(), self.dag.is_exclusive(v))),
-                _ => None,
-            });
-        self.journal = Some((script, config, ScriptDelta::open(entry)));
-    }
-
-    /// Ends the journaling window for `script`: a clean journal becomes
-    /// the ready delta, a broken one bumps the cooldown and leaves the
-    /// previous state in place.
-    fn finish_script(&mut self, script: u32) {
-        let Some((journaled, _, delta)) = self.journal.take() else {
-            return;
-        };
-        debug_assert_eq!(journaled, script, "journal crosses script windows");
-        let Some(Some(slot)) = self.scripts.get_mut(script as usize) else {
-            return;
-        };
-        if delta.broken {
-            slot.cold = slot.cold.saturating_add(1);
-        } else {
-            slot.state = ScriptState::Ready(delta);
-        }
-    }
-
-    /// Marks the open journal (if any) unusable — the bus contract was
-    /// violated mid-window, so whatever was journaled is not one clean
-    /// script run.
-    fn poison_journal(&mut self) {
-        if let Some((_, _, delta)) = self.journal.as_mut() {
-            delta.broken = true;
-        }
     }
 
     fn retire(&mut self, config: ConfigId) {
@@ -581,7 +293,7 @@ impl Lane {
     }
 }
 
-/// The standard sink: the replay state of one offset-bits equivalence
+/// The observer sink: the replay state of one offset-bits equivalence
 /// class of observers, one [`Lane`] per member spec behind a shared
 /// per-event front end.
 ///
@@ -600,35 +312,12 @@ impl Lane {
 /// different DAGs (a stutter keeps the cursor on a vertex an exact
 /// observer would have extended past), so sharing a DAG across them
 /// would change counts.
-///
-/// The sink also consumes [`TraceEvent::Script`] markers: a script whose
-/// delta every lane has recorded (and whose guards pass) is applied as
-/// one bulk DAG mutation per lane, and the run's events are skipped
-/// wholesale. The application is all-or-nothing across lanes so the skip
-/// counter stays a single per-sink scalar; any lane falling back sends
-/// the whole run down the per-event path, which doubles as the journaling
-/// pass that records (or refreshes) the lane deltas.
 pub struct DagSink {
     lanes: Vec<Lane>,
     /// Whether any lane sees (fetches, data accesses) — lets the front
     /// end skip key derivation and projection for invisible kinds.
     sees: (bool, bool),
     proj: HashMap<MemoKey, ObsSet, BuildHasherDefault<FxHasher>>,
-    /// Events left to skip after a script delta was applied in bulk
-    /// (sink state, so it spans chunk boundaries).
-    skip: u32,
-    /// The script run currently replaying per event (lanes journal it).
-    recording: Option<ScriptRun>,
-    /// Sink-side script counters, folded into the run's [`MemoStats`].
-    stats: MemoStats,
-}
-
-/// A script window being consumed per event: countdown bookkeeping for
-/// the journaling fallback path.
-struct ScriptRun {
-    script: u32,
-    config: ConfigId,
-    remaining: u32,
 }
 
 impl DagSink {
@@ -662,59 +351,11 @@ impl DagSink {
                 specs.iter().any(|s| AccessKind::Data.visible_to(s.channel)),
             ),
             proj: HashMap::default(),
-            skip: 0,
-            recording: None,
-            stats: MemoStats::default(),
         }
     }
 
-    /// Handles a [`TraceEvent::Script`] marker: bulk-apply when every
-    /// lane's delta is ready and guarded, otherwise fall back to
-    /// per-event replay with the lanes journaling.
-    fn script_marker(&mut self, config: ConfigId, script: u32, events: u32, forked: bool) {
-        if events == 0 {
-            return;
-        }
-        if self.recording.is_some() {
-            // A marker inside another marker's window violates the bus
-            // contract; poison the open journals rather than record lies.
-            self.recording = None;
-            for lane in &mut self.lanes {
-                lane.journal = None;
-            }
-        }
-        if self
-            .lanes
-            .iter()
-            .all(|lane| lane.script_ready(script, config))
-        {
-            for lane in &mut self.lanes {
-                lane.apply_script(script, config);
-            }
-            self.skip = events;
-            self.stats.sink_script_hits += 1;
-            if forked {
-                self.stats.sink_script_hits_forked += 1;
-            } else {
-                self.stats.sink_script_hits_lone += 1;
-            }
-            self.stats.sink_script_events += u64::from(events);
-        } else {
-            for i in 0..self.lanes.len() {
-                let ready = self.lanes[i].script_ready(script, config);
-                self.lanes[i].script_fallback(script, config, ready);
-            }
-            self.recording = Some(ScriptRun {
-                script,
-                config,
-                remaining: events,
-            });
-        }
-    }
-
-    /// The pre-script per-event dispatch (everything but
-    /// [`TraceEvent::Script`] handling and window bookkeeping).
-    fn dispatch(&mut self, event: &TraceEvent) {
+    /// Consumes one scheduler event.
+    pub fn absorb(&mut self, event: &TraceEvent) {
         match event {
             TraceEvent::Fork { parent, child } => {
                 for lane in &mut self.lanes {
@@ -763,75 +404,13 @@ impl DagSink {
                     lane.retire(*config);
                 }
             }
-            TraceEvent::Script { .. } => unreachable!("handled before dispatch"),
-        }
-    }
-}
-
-impl ObserverSink for DagSink {
-    fn absorb_chunk(&mut self, events: &[TraceEvent]) {
-        // Runs of events covered by an applied script delta are skipped
-        // in one stride instead of one decrement per event.
-        let mut i = 0;
-        while i < events.len() {
-            if self.skip > 0 {
-                let stride = (self.skip as usize).min(events.len() - i);
-                self.skip -= stride as u32;
-                i += stride;
-                continue;
-            }
-            self.absorb(&events[i]);
-            i += 1;
         }
     }
 
-    fn absorb(&mut self, event: &TraceEvent) {
-        // Events covered by an applied script delta: already accounted
-        // for in bulk, skip them wholesale.
-        if self.skip > 0 {
-            self.skip -= 1;
-            return;
-        }
-        if let TraceEvent::Script {
-            config,
-            script,
-            events,
-            forked,
-        } = event
-        {
-            self.script_marker(*config, *script, *events, *forked);
-            return;
-        }
-        // Inside a journaling window: count the run's events down and
-        // sanity-check the bus contract (only the replaying config's
-        // access events may appear; anything else poisons the journals).
-        let finish = match &mut self.recording {
-            Some(run) => {
-                if !matches!(event, TraceEvent::Access { config, .. } if *config == run.config) {
-                    for lane in &mut self.lanes {
-                        lane.poison_journal();
-                    }
-                }
-                run.remaining -= 1;
-                (run.remaining == 0).then_some(run.script)
-            }
-            None => None,
-        };
-        self.dispatch(event);
-        if let Some(script) = finish {
-            self.recording = None;
-            for lane in &mut self.lanes {
-                lane.finish_script(script);
-            }
-        }
-    }
-
-    fn into_rows(self: Box<Self>) -> Vec<LeakRow> {
+    /// Finishes the stream: counts traces and converts them to leakage
+    /// bounds, one row per lane in the class's spec order.
+    pub fn into_rows(self) -> Vec<LeakRow> {
         self.lanes.into_iter().map(Lane::into_row).collect()
-    }
-
-    fn memo_stats(&self) -> MemoStats {
-        self.stats
     }
 }
 
@@ -839,44 +418,29 @@ impl ObserverSink for DagSink {
 pub trait EventBus {
     /// Emits one event to every sink.
     fn emit(&mut self, event: TraceEvent);
-
-    /// Announces that the next `events` access events for `config` are
-    /// one replay of interpreter script `script`. The default is a
-    /// no-op: the events that follow are complete on their own, so
-    /// buses feeding plain collectors (tests, external drivers) never
-    /// surface script identity and their raw streams stay unchanged.
-    /// The pipeline's bus forwards a [`TraceEvent::Script`] marker.
-    fn emit_script(&mut self, config: ConfigId, script: u32, events: u32, forked: bool) {
-        let _ = (config, script, events, forked);
-    }
 }
 
 /// Events buffered between flushes of the pipeline's bus. Looping every
 /// sink over one buffered batch keeps each sink's working set hot per
 /// chunk and needs only two clock reads per chunk to attribute replay
-/// time. Script markers and skip strides span chunk boundaries, so the
-/// value changes no result.
+/// time; the value changes no result.
 const CHUNK: usize = 256;
 
 /// Runs a set of sinks against the event stream produced by `drive`.
 ///
 /// Events are buffered and applied to every sink in `CHUNK`-sized
 /// (256-event) batches on the calling thread. Row order in the result
-/// is sink order, flattened over each sink's
-/// [`ObserverSink::into_rows`]. If `drive` errors, the partial rows are
-/// discarded and the error is returned.
+/// is sink order, flattened over each sink's [`DagSink::into_rows`]. If
+/// `drive` errors, the partial rows are discarded and the error is
+/// returned.
 ///
 /// The returned [`PhaseTimings`] split the run's wall clock into three
 /// disjoint phases: interpretation (scheduler fixpoint), replay (sink
 /// event consumption) and counting (Proposition 2 arithmetic).
-///
-/// The returned [`MemoStats`] are the sinks' own counters (sink-side
-/// script replay), summed across sinks; the caller folds them into the
-/// interpreter's.
 pub fn run_pipeline<E>(
-    sinks: Vec<Box<dyn ObserverSink>>,
+    sinks: Vec<DagSink>,
     drive: impl FnOnce(&mut dyn EventBus) -> Result<(), E>,
-) -> Result<(Vec<LeakRow>, PhaseTimings, MemoStats), E> {
+) -> Result<(Vec<LeakRow>, PhaseTimings), E> {
     let mut bus = SerialBus {
         sinks,
         buffer: Vec::with_capacity(CHUNK),
@@ -886,28 +450,20 @@ pub fn run_pipeline<E>(
     drive(&mut bus)?;
     bus.flush();
     let interpret = started.elapsed().saturating_sub(bus.replay);
-    let mut memo = MemoStats::default();
-    for sink in &bus.sinks {
-        memo.accumulate(&sink.memo_stats());
-    }
     let counting = Instant::now();
-    let rows: Vec<LeakRow> = bus
-        .sinks
-        .into_iter()
-        .flat_map(ObserverSink::into_rows)
-        .collect();
+    let rows: Vec<LeakRow> = bus.sinks.into_iter().flat_map(DagSink::into_rows).collect();
     let timings = PhaseTimings {
         interpret,
         replay: bus.replay,
         count: counting.elapsed(),
     };
-    Ok((rows, timings, memo))
+    Ok((rows, timings))
 }
 
 /// The pipeline's bus: buffers events and applies them to every sink in
 /// [`CHUNK`]-sized batches (see [`run_pipeline`]).
 struct SerialBus {
-    sinks: Vec<Box<dyn ObserverSink>>,
+    sinks: Vec<DagSink>,
     buffer: Vec<TraceEvent>,
     replay: Duration,
 }
@@ -919,7 +475,9 @@ impl SerialBus {
         }
         let started = Instant::now();
         for sink in &mut self.sinks {
-            sink.absorb_chunk(&self.buffer);
+            for event in &self.buffer {
+                sink.absorb(event);
+            }
         }
         self.replay += started.elapsed();
         self.buffer.clear();
@@ -932,15 +490,6 @@ impl EventBus for SerialBus {
         if self.buffer.len() >= CHUNK {
             self.flush();
         }
-    }
-
-    fn emit_script(&mut self, config: ConfigId, script: u32, events: u32, forked: bool) {
-        self.emit(TraceEvent::Script {
-            config,
-            script,
-            events,
-            forked,
-        });
     }
 }
 
@@ -982,10 +531,10 @@ mod tests {
 
     /// Runs `sinks` over `drive`, keeping only the rows.
     fn rows<E>(
-        sinks: Vec<Box<dyn ObserverSink>>,
+        sinks: Vec<DagSink>,
         drive: impl FnOnce(&mut dyn EventBus) -> Result<(), E>,
     ) -> Result<Vec<LeakRow>, E> {
-        run_pipeline(sinks, drive).map(|(rows, _, _)| rows)
+        run_pipeline(sinks, drive).map(|(rows, _)| rows)
     }
 
     #[test]
@@ -1004,9 +553,9 @@ mod tests {
                 observer: Observer::address(),
             },
         ];
-        let sinks: Vec<Box<dyn ObserverSink>> = specs
+        let sinks: Vec<DagSink> = specs
             .iter()
-            .map(|&spec| Box::new(DagSink::new(spec, ConfigId(0))) as Box<dyn ObserverSink>)
+            .map(|&spec| DagSink::new(spec, ConfigId(0)))
             .collect();
         let rows = rows(sinks, example9_events).unwrap();
         assert_eq!(rows[0].count.to_u64(), Some(2), "address observer");
@@ -1030,13 +579,11 @@ mod tests {
         let solo: Vec<LeakRow> = specs
             .iter()
             .map(|&spec| {
-                let sinks: Vec<Box<dyn ObserverSink>> =
-                    vec![Box::new(DagSink::new(spec, ConfigId(0)))];
+                let sinks = vec![DagSink::new(spec, ConfigId(0))];
                 rows(sinks, example9_events).unwrap().remove(0)
             })
             .collect();
-        let class: Vec<Box<dyn ObserverSink>> =
-            vec![Box::new(DagSink::for_class(&specs, ConfigId(0)))];
+        let class = vec![DagSink::for_class(&specs, ConfigId(0))];
         let grouped = rows(class, example9_events).unwrap();
         assert_eq!(grouped.len(), specs.len(), "one row per lane");
         for (s, g) in solo.iter().zip(&grouped) {
@@ -1052,7 +599,7 @@ mod tests {
             channel: Channel::Shared,
             observer: Observer::address(),
         };
-        let sinks: Vec<Box<dyn ObserverSink>> = vec![Box::new(DagSink::new(spec, ConfigId(0)))];
+        let sinks = vec![DagSink::new(spec, ConfigId(0))];
         let rows = rows(sinks, |bus| -> Result<(), std::convert::Infallible> {
             bus.emit(TraceEvent::Retire {
                 config: ConfigId(0),
@@ -1070,7 +617,7 @@ mod tests {
             channel: Channel::Shared,
             observer: Observer::address(),
         };
-        let sinks: Vec<Box<dyn ObserverSink>> = vec![Box::new(DagSink::new(spec, ConfigId(0)))];
+        let sinks = vec![DagSink::new(spec, ConfigId(0))];
         let err = rows(sinks, |bus| {
             bus.emit(TraceEvent::access(
                 ConfigId(0),

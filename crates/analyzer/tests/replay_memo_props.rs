@@ -3,23 +3,19 @@
 //!
 //! The production sinks ([`DagSink`]) layer caches over trace replay:
 //! the per-class projection map (one `project_set` per distinct address
-//! set and granularity), DAG compaction, and the per-lane script delta
-//! memo (bulk-applying whole scripted runs). None of those may change a
-//! single bit of the resulting counts. The reference implementation
-//! here replays the identical event stream straight through the public
+//! set and granularity) and DAG compaction. Neither may change a single
+//! bit of the resulting counts. The reference implementation here
+//! replays the identical event stream straight through the public
 //! [`TraceDag`] API — one `project_set` and one `update` per event, no
 //! memo of any kind, no compaction — and the properties assert that
 //! counts and bits agree exactly for every spec, over random
-//! fork/merge/retire salads, repeated loop-like accesses, stuttering and
-//! exact observers, and arbitrary chunk boundaries: the stream reaches
-//! each sink through [`ObserverSink::absorb_chunk`], cut at
-//! proptest-chosen split points.
+//! fork/merge/retire salads, repeated loop-like accesses, and
+//! stuttering and exact observers. The stream reaches the sinks through
+//! [`run_pipeline`], the production bus.
 
 use std::collections::HashMap;
 
-use leakaudit_analyzer::sink::{
-    run_pipeline, AccessKind, ConfigId, DagSink, ObserverSink, TraceEvent,
-};
+use leakaudit_analyzer::sink::{run_pipeline, AccessKind, ConfigId, DagSink, TraceEvent};
 use leakaudit_analyzer::{Channel, LeakRow, ObserverSpec};
 use leakaudit_core::{Cursor, Observer, TraceDag, ValueSet};
 use leakaudit_mpi::Natural;
@@ -226,9 +222,6 @@ impl Naive {
                     Some(acc) => self.dag.merge_cursors(acc, cur),
                 });
             }
-            // Script markers are pure announcements: the access events
-            // that follow are complete on their own.
-            TraceEvent::Script { .. } => {}
         }
     }
 
@@ -246,7 +239,7 @@ impl Naive {
 
 /// Groups the suite into (channel, offset-bits) class sinks — the
 /// engine's production layout.
-fn class_sinks(suite: &[ObserverSpec]) -> Vec<Box<dyn ObserverSink>> {
+fn class_sinks(suite: &[ObserverSpec]) -> Vec<DagSink> {
     let mut classes: Vec<(Channel, u8, Vec<ObserverSpec>)> = Vec::new();
     for spec in suite {
         let key = (spec.channel, spec.observer.offset_bits());
@@ -257,50 +250,37 @@ fn class_sinks(suite: &[ObserverSpec]) -> Vec<Box<dyn ObserverSink>> {
     }
     classes
         .into_iter()
-        .map(|(_, _, members)| {
-            Box::new(DagSink::for_class(&members, ConfigId::ROOT)) as Box<dyn ObserverSink>
-        })
+        .map(|(_, _, members)| DagSink::for_class(&members, ConfigId::ROOT))
         .collect()
 }
 
-/// Replays the events through the memoized production sinks, handing
-/// each sink the stream in chunks cut at `cuts` (raw offsets, reduced
-/// modulo the stream length), and returns rows keyed by spec.
-fn memoized_rows(events: &[TraceEvent], cuts: &[usize]) -> Vec<LeakRow> {
-    let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (events.len() + 1)).collect();
-    bounds.push(events.len());
-    bounds.sort_unstable();
-    bounds.dedup();
-    let mut sinks = class_sinks(&suite());
-    for sink in &mut sinks {
-        let mut start = 0;
-        for &end in &bounds {
-            sink.absorb_chunk(&events[start..end]);
-            start = end;
+/// Replays the events through `sinks` on the production pipeline and
+/// returns the rows in sink order.
+fn pipeline_rows(sinks: Vec<DagSink>, events: &[TraceEvent]) -> Vec<LeakRow> {
+    let (rows, _) = run_pipeline(sinks, |bus| {
+        for event in events {
+            bus.emit(event.clone());
         }
-    }
-    sinks
-        .into_iter()
-        .flat_map(ObserverSink::into_rows)
-        .collect()
+        Ok::<(), std::convert::Infallible>(())
+    })
+    .expect("infallible drive");
+    rows
 }
 
-/// Cuts every `stride` events.
-fn stride_cuts(len: usize, stride: usize) -> Vec<usize> {
-    (stride..len).step_by(stride).collect()
+/// Replays the events through the memoized production class sinks.
+fn memoized_rows(events: &[TraceEvent]) -> Vec<LeakRow> {
+    pipeline_rows(class_sinks(&suite()), events)
 }
 
 proptest! {
     /// The flagship property: over random event salads, every spec's
-    /// memoized class-sink count equals the naive replay bit for bit,
-    /// for any chunk boundaries.
+    /// memoized class-sink count equals the naive replay bit for bit.
     #[test]
     fn memoized_class_replay_matches_naive_replay(
         ops in proptest::collection::vec(raw_op(), 0..120),
-        cuts in proptest::collection::vec(any::<usize>(), 0..64),
     ) {
         let events = build_events(&ops);
-        let rows = memoized_rows(&events, &cuts);
+        let rows = memoized_rows(&events);
         for spec in suite() {
             let row = rows
                 .iter()
@@ -327,18 +307,12 @@ proptest! {
     #[test]
     fn solo_sinks_match_class_sinks(ops in proptest::collection::vec(raw_op(), 0..80)) {
         let events = build_events(&ops);
-        let class_rows = memoized_rows(&events, &[]);
-        let solo_sinks: Vec<Box<dyn ObserverSink>> = suite()
+        let class_rows = memoized_rows(&events);
+        let solo_sinks = suite()
             .into_iter()
-            .map(|spec| Box::new(DagSink::new(spec, ConfigId::ROOT)) as Box<dyn ObserverSink>)
+            .map(|spec| DagSink::new(spec, ConfigId::ROOT))
             .collect();
-        let (solo_rows, _, _) = run_pipeline(solo_sinks, |bus| {
-            for event in &events {
-                bus.emit(event.clone());
-            }
-            Ok::<(), std::convert::Infallible>(())
-        })
-        .expect("infallible drive");
+        let solo_rows = pipeline_rows(solo_sinks, &events);
         for solo in &solo_rows {
             let class = class_rows
                 .iter()
@@ -384,7 +358,7 @@ fn loop_heavy_stream_matches_naive_replay() {
     }
     events.push(TraceEvent::Retire { config: root });
 
-    let rows = memoized_rows(&events, &stride_cuts(events.len(), 7));
+    let rows = memoized_rows(&events);
     for spec in suite() {
         let row = rows.iter().find(|r| r.spec == spec).expect("row for spec");
         let mut naive = Naive::new(spec);

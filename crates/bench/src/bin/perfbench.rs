@@ -25,15 +25,16 @@
 //! * `--baseline FILE`: embed a previous perfbench report as the
 //!   `baseline` field and compute `speedup_vs_baseline`.
 //!
-//! JSON schema (`leakaudit-perfbench/v9` — v8 plus the sink-side
-//! script-memo counters (`sink_script_hits`, with the lone/forked
-//! split, and `sink_script_events`) inside every `interp_memo` object,
-//! and `replay` inside `speedup_vs_baseline`: the combined
-//! replay-phase ratio over the heavy cells (every `secure-retrieve`,
-//! `scatter-gather` and `defensive-gather` scenario) — the headline
-//! number of the sink-side script-replay optimization. Inherited from
-//! v8: per-scenario interpreter-memo counter splits
-//! (`scenario_interp_memo`: name → hit/miss/replay counters for one
+//! JSON schema (`leakaudit-perfbench/v10` — v9 without the sink-side
+//! script-memo counters (the four `sink_script_*` fields), whose replay
+//! layer is gone, and with `scenario_phases_ms` taken as
+//! per-phase medians over the timed iterations — the same iterations
+//! as `scenarios_ms` — where v9 reported the last timed iteration.
+//! Inherited from v9: `replay` inside `speedup_vs_baseline`, the
+//! combined replay-phase ratio over the heavy cells (every
+//! `secure-retrieve`, `scatter-gather` and `defensive-gather`
+//! scenario). Inherited from v8: per-scenario interpreter-memo counter
+//! splits (`scenario_interp_memo`: name → hit/miss/replay counters for one
 //! analysis of that scenario, where v7 had only run totals), the
 //! lone/forked script-replay split inside every `interp_memo` object,
 //! and the optional `ab_memo_ms` section (name → `{on, off}` median
@@ -50,11 +51,12 @@
 //! PR and build, so reports recorded on different boots can be
 //! normalized by this number instead of re-documenting machine shifts),
 //! `scenarios_ms` (name → median ms), `scenario_phases_ms` (name →
-//! `{interpret, replay, count}` in ms for the last timed iteration:
-//! where each scenario's milliseconds went — scheduler fixpoint, sink
-//! replay, or Proposition 2 counting), `total_sequential_ms`
-//! (sum of per-scenario medians), `batch_all_8_ms` (median wall time
-//! of the 8-scenario parallel batch), `sweep_cells` (size of the
+//! `{interpret, replay, count}`, each the median ms of that phase over
+//! the timed iterations: where each scenario's milliseconds went —
+//! scheduler fixpoint, sink replay, or Proposition 2 counting),
+//! `total_sequential_ms` (sum of per-scenario medians),
+//! `batch_all_8_ms` (median wall time of the 8-scenario parallel
+//! batch), `sweep_cells` (size of the
 //! default registry matrix), `sweep_cold_ms` (median wall time of a
 //! cold default sweep through the service, fresh cache each iteration
 //! — since v5 the cold sweep shares scheduler passes across
@@ -77,7 +79,7 @@
 //! `speedup_vs_baseline` (baseline / current, per shared metric).
 
 use std::fmt::Write as _;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use leakaudit_analyzer::{Analysis, MemoStats, PhaseTimings};
 use leakaudit_cache::Policy;
@@ -223,7 +225,7 @@ fn host_calibration_ms() -> f64 {
 
 /// The combined replay-phase speedup over the *heavy* cells — every
 /// `secure-retrieve`, `scatter-gather` and `defensive-gather` scenario,
-/// where the sink-replay tail of the pipeline lives. `None` when the
+/// where most of the sink-replay phase lives. `None` when the
 /// baseline predates `scenario_phases_ms` (pre-v6) or the current
 /// combined replay time is zero.
 fn heavy_replay_speedup(base: &str, scenario_phases: &[(&str, PhaseTimings)]) -> Option<f64> {
@@ -245,8 +247,22 @@ fn heavy_replay_speedup(base: &str, scenario_phases: &[(&str, PhaseTimings)]) ->
 }
 
 /// Milliseconds of one phase duration, for report fields.
-fn phase_ms(d: std::time::Duration) -> f64 {
+fn phase_ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
+}
+
+/// Each phase's median over the given iterations' phase splits, taken
+/// phase by phase.
+fn median_phases(samples: &[PhaseTimings]) -> PhaseTimings {
+    let median = |phase: fn(&PhaseTimings) -> Duration| {
+        let ms = median_ms(samples.iter().map(|p| phase_ms(phase(p))).collect());
+        Duration::from_secs_f64(ms / 1e3)
+    };
+    PhaseTimings {
+        interpret: median(|p| p.interpret),
+        replay: median(|p| p.replay),
+        count: median(|p| p.count),
+    }
 }
 
 fn main() {
@@ -273,13 +289,16 @@ fn main() {
     let mut scenario_memo: Vec<(&str, MemoStats)> = Vec::new();
     let mut memo_totals = MemoStats::default();
     for s in &scenarios {
-        let mut phases = PhaseTimings::default();
+        // Phase splits of every run, warmup first; the memo counters are
+        // deterministic, so any run's will do.
+        let mut runs: Vec<PhaseTimings> = Vec::new();
         let mut memo = MemoStats::default();
         let ms = measure(args.iters, args.warmup, || {
             let report = s.analyze().expect("analysis converges");
-            phases = report.timings();
+            runs.push(report.timings());
             memo = report.memo_stats();
         });
+        let phases = median_phases(&runs[args.warmup..]);
         println!("  {:<42} {:>9.2} ms", s.name, ms);
         println!(
             "      phases: interpret {:.2} ms | replay {:.2} ms | count {:.2} ms",
@@ -296,13 +315,6 @@ fn main() {
             memo.script_replays_forked,
             memo.script_steps,
         );
-        println!(
-            "      sink: {} script hits ({} lone + {} forked) covering {} events",
-            memo.sink_script_hits,
-            memo.sink_script_hits_lone,
-            memo.sink_script_hits_forked,
-            memo.sink_script_events,
-        );
         scenario_ms.push((s.name.as_str(), ms));
         scenario_phases.push((s.name.as_str(), phases));
         scenario_memo.push((s.name.as_str(), memo));
@@ -318,13 +330,6 @@ fn main() {
         memo_totals.script_replays_lone,
         memo_totals.script_replays_forked,
         memo_totals.script_steps,
-    );
-    println!(
-        "  sink memo: {} script hits ({} lone + {} forked) covering {} events",
-        memo_totals.sink_script_hits,
-        memo_totals.sink_script_hits_lone,
-        memo_totals.sink_script_hits_forked,
-        memo_totals.sink_script_events,
     );
 
     // Interleaved memo A/B: on and off alternate within the same loop,
@@ -557,7 +562,7 @@ fn main() {
     };
 
     let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"schema\": \"leakaudit-perfbench/v9\",");
+    let _ = writeln!(json, "  \"schema\": \"leakaudit-perfbench/v10\",");
     let _ = writeln!(json, "  \"label\": \"{}\",", json_escape(&args.label));
     let _ = writeln!(json, "  \"iters\": {},", args.iters);
     let _ = writeln!(json, "  \"warmup\": {},", args.warmup);
@@ -589,19 +594,13 @@ fn main() {
         format!(
             "{{\"transfer_hits\": {}, \"transfer_misses\": {}, \
              \"script_replays\": {}, \"script_replays_lone\": {}, \
-             \"script_replays_forked\": {}, \"script_steps\": {}, \
-             \"sink_script_hits\": {}, \"sink_script_hits_lone\": {}, \
-             \"sink_script_hits_forked\": {}, \"sink_script_events\": {}}}",
+             \"script_replays_forked\": {}, \"script_steps\": {}}}",
             m.transfer_hits,
             m.transfer_misses,
             m.script_replays,
             m.script_replays_lone,
             m.script_replays_forked,
             m.script_steps,
-            m.sink_script_hits,
-            m.sink_script_hits_lone,
-            m.sink_script_hits_forked,
-            m.sink_script_events,
         )
     };
     let _ = writeln!(json, "  \"scenario_interp_memo\": {{");
@@ -660,8 +659,7 @@ fn main() {
             let speedup_stream = speedup("sweep_stream_warm_ms", sweep_stream_warm_ms);
             let speedup_group = speedup("granularity_group_cold_ms", granularity_group_cold_ms);
             let speedup_evicting = speedup("evicting_sweep_ms", evicting_sweep_ms);
-            // The headline ratio of the sink-side script-replay work:
-            // combined replay phase over the heavy cells.
+            // Combined replay phase over the heavy cells.
             let speedup_replay = heavy_replay_speedup(base, &scenario_phases)
                 .map_or_else(|| "null".into(), |r| format!("{r:.3}"));
             // Scoped per-scenario phase ratios (null per-field when the

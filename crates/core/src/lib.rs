@@ -79,5 +79,5 @@ pub use msym::MaskedSymbol;
 pub use observer::{project_range, ObsSet, Observation, Observer};
 pub use ops::{apply, mul, neg, not, shl, shr, AbstractBool, AbstractFlags, BinOp, OpResult};
 pub use sym::{OffsetRecord, Provenance, SymId, SymbolTable};
-pub use trace::{Cursor, DagStep, Label, TraceDag, VertexId};
+pub use trace::{Cursor, Label, TraceDag, VertexId};
 pub use value::{apply_set, map_set, MemoKey, ValueSet, MAX_CARDINALITY};

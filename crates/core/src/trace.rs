@@ -82,18 +82,11 @@ impl Reps {
     /// Shifting preserves sortedness and distinctness, so this never
     /// re-canonicalizes.
     fn bump(&mut self) {
-        self.add(1);
-    }
-
-    /// Adds `n` to every possible count — `n` bumps applied at once (the
-    /// bulk half of a script delta). A uniform shift preserves
-    /// sortedness and distinctness exactly like [`Reps::bump`].
-    fn add(&mut self, n: u64) {
         match self {
-            Reps::One(r) => *r += n,
+            Reps::One(r) => *r += 1,
             Reps::Many(v) => {
                 for r in v {
-                    *r += n;
+                    *r += 1;
                 }
             }
         }
@@ -201,12 +194,9 @@ fn natural_from_u128(n: u128) -> Natural {
 }
 
 /// Outcome of matching one access against one frontier vertex (see
-/// [`TraceDag::update`]). Public so the analyzer's sinks can journal
-/// the steps a script replay takes (via [`TraceDag::update_observed`])
-/// and later re-apply the whole run in bulk with
-/// [`TraceDag::apply_script_delta`].
+/// [`TraceDag::update`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DagStep {
+enum DagStep {
     /// Stuttering observer, same unit: the cursor stays put.
     Stutter,
     /// Exclusive same-unit repetition: bump `R(v)` in place.
@@ -535,35 +525,6 @@ impl TraceDag {
         self.update_frontier(c, obs)
     }
 
-    /// [`TraceDag::update`] on a singleton frontier, additionally
-    /// reporting which transition was taken. The analyzer's sinks journal
-    /// these steps while recording a sink-side script delta (see
-    /// [`TraceDag::apply_script_delta`]); the mutation goes through the
-    /// exact same path as the unreported update, so observing a step can
-    /// never change it.
-    pub fn update_observed(&mut self, c: Cursor, obs: &ObsSet) -> (Cursor, DagStep) {
-        debug_assert_eq!(c.verts.len(), 1, "observed updates are singleton-frontier");
-        let v = c.verts[0];
-        let step = self.classify(v, obs);
-        (self.apply_singleton(c, v, obs, step), step)
-    }
-
-    /// The label of a live vertex. Labels are immutable while a vertex is
-    /// live, so sink-side script deltas key their applicability on label
-    /// equality rather than on (compaction-remapped) vertex ids.
-    pub fn label(&self, v: VertexId) -> &Label {
-        &self.vertices[v.index()].label
-    }
-
-    /// Whether `v` is exclusively owned: exactly one cursor holds it and
-    /// nothing extends it — the live half of the [`DagStep`]
-    /// classification. Script deltas record it at journal time and
-    /// require it unchanged at bulk-apply time.
-    pub fn is_exclusive(&self, v: VertexId) -> bool {
-        let vert = &self.vertices[v.index()];
-        vert.cursor_refs == 1 && vert.children == 0
-    }
-
     /// Whether an extend from frontier vertex `v` may *overwrite* `v` in
     /// place instead of appending a child — the tail-collapse rule that
     /// keeps chain-shaped DAGs bounded by their branch structure instead
@@ -603,57 +564,6 @@ impl TraceDag {
             }
             _ => false,
         }
-    }
-
-    /// Applies a recorded script delta in bulk: `entry_bumps` in-place
-    /// repetition bumps on the (singleton) frontier vertex, then one
-    /// chain step per `(observation, repetitions)` link.
-    ///
-    /// Bit-identical to replaying the journaled per-event steps: the
-    /// bumps shift `R(entry)` exactly `entry_bumps` times, and each
-    /// chain link reproduces the extend-then-bump^(r-1) transition the
-    /// per-event path takes — collapsing onto the tail exactly when the
-    /// per-event extend would (the collapse decision is re-derived from
-    /// live state per link, never journaled), appending a fresh vertex
-    /// with repetition set `{r}` otherwise. Stutters journal as nothing
-    /// and replay as nothing. The caller guarantees the recorded guard
-    /// (singleton frontier, entry label and exclusivity equal to the
-    /// journal-time ones); appended vertices are fresh and collapsed
-    /// tails are exclusively owned, so no other path can observe the
-    /// difference.
-    pub fn apply_script_delta(
-        &mut self,
-        c: Cursor,
-        entry_bumps: u64,
-        chain: &[(ObsSet, u64)],
-    ) -> Cursor {
-        debug_assert_eq!(c.verts.len(), 1, "script deltas are singleton-frontier");
-        let mut verts = c.verts;
-        let v = verts[0];
-        if entry_bumps > 0 {
-            debug_assert!(self.is_exclusive(v), "entry bumps need exclusivity");
-            self.vertices[v.index()].reps.add(entry_bumps);
-            self.touch(v);
-        }
-        let mut tail = v;
-        for (obs, reps) in chain {
-            if self.collapse_target(tail) {
-                let vert = &mut self.vertices[tail.index()];
-                vert.label = Label::Obs(obs.clone());
-                vert.reps = Reps::One(*reps);
-                self.touch(tail);
-            } else {
-                self.vertices[tail.index()].cursor_refs -= 1;
-                self.vertices[tail.index()].children += 1;
-                let child = self.push_vertex(Label::Obs(obs.clone()), Preds::One(tail), 1);
-                if *reps > 1 {
-                    self.vertices[child.index()].reps = Reps::One(*reps);
-                }
-                tail = child;
-            }
-        }
-        verts[0] = tail;
-        Cursor { verts }
     }
 
     /// Mutation half of the singleton-frontier update.
@@ -970,63 +880,6 @@ mod tests {
         let mut cur = dag.merge_cursors(cur, taken);
         cur = dag.access(cur, &consts(&[0x41aa1]));
         dag.count(&cur)
-    }
-
-    /// Journals one run of a repeated "script" with
-    /// `update_observed`, replays the next run through
-    /// `apply_script_delta`, and checks the DAG counts the same trace set
-    /// as the fully per-event reference — the core soundness argument of
-    /// the analyzer's sink-side script replay.
-    fn check_script_delta(observer: Observer, addrs: &[u64]) {
-        const RUNS: usize = 3;
-        let obs_seq: Vec<ObsSet> = addrs
-            .iter()
-            .map(|a| observer.project_set(&consts(&[*a])))
-            .collect();
-
-        // Per-event reference: RUNS identical runs.
-        let (mut ref_dag, mut ref_cur) = TraceDag::new(observer);
-        for _ in 0..RUNS {
-            for obs in &obs_seq {
-                ref_cur = ref_dag.update(ref_cur, obs);
-            }
-        }
-        let expect = ref_dag.count(&ref_cur);
-
-        // Memoized path: run 1 per-event, run 2 journaled, run 3 bulk.
-        let (mut dag, mut cur) = TraceDag::new(observer);
-        for obs in &obs_seq {
-            cur = dag.update(cur, obs);
-        }
-        let mut entry_bumps = 0u64;
-        let mut chain: Vec<(ObsSet, u64)> = Vec::new();
-        for obs in &obs_seq {
-            let (next, step) = dag.update_observed(cur, obs);
-            cur = next;
-            match step {
-                DagStep::Stutter => {}
-                DagStep::Bump => match chain.last_mut() {
-                    Some(link) => link.1 += 1,
-                    None => entry_bumps += 1,
-                },
-                DagStep::Extend => chain.push((obs.clone(), 1)),
-            }
-        }
-        cur = dag.apply_script_delta(cur, entry_bumps, &chain);
-        assert_eq!(dag.count(&cur), expect);
-    }
-
-    #[test]
-    fn script_delta_matches_per_event_replay() {
-        // Plain chain with in-script repetitions.
-        check_script_delta(Observer::block(6), &[0x100, 0x100, 0x140, 0x180, 0x180]);
-        // Script ends where it starts: the journal opens with entry bumps.
-        check_script_delta(Observer::block(6), &[0x180, 0x180, 0x100, 0x140, 0x180]);
-        // Stuttering observer: same-unit steps journal as nothing.
-        check_script_delta(
-            Observer::block(6).stuttering(),
-            &[0x180, 0x180, 0x100, 0x140],
-        );
     }
 
     #[test]

@@ -42,7 +42,7 @@ const GUARD: u32 = 0x4_f000;
 /// a matched sibling is parked in the cold section. The table load
 /// right after it reads through `ebx`, whose value is fresh each
 /// trip, so the script never grows past the guard: the family pins
-/// down the shortest multi-event script the sink layer must batch.
+/// down the shortest multi-event script the interpreter replays.
 ///
 /// `ecx` holds the secret index `k ∈ {0..entries-1}`; `ebx` holds the
 /// dynamically allocated table `p` of `rounds` 32-bit words; the guard
@@ -150,27 +150,16 @@ mod tests {
     }
 
     #[test]
-    fn fork_dense_loop_replays_scripts_forked_into_the_sinks() {
+    fn fork_dense_loop_replays_scripts_forked() {
         // The registry's purpose for this family: every candidate
         // iteration forks, and the loop's guard-reload kernel must
-        // still be scripted and replayed — both by the interpreter
-        // memo (forked replays) and by the sink-side script memo
-        // (forked hits, since replays keep landing while a matched
-        // sibling is parked in the cold section).
+        // still be scripted and replayed by the interpreter memo while
+        // a matched sibling is parked in the cold section.
         let report = variant(8, 12, 6).analyze().unwrap();
         let m = report.memo_stats();
         assert!(
             m.script_replays_forked > 0,
             "interpreter never replayed a script while forked: {m:?}"
-        );
-        assert!(
-            m.sink_script_hits_forked > 0,
-            "sinks never replayed a script delta while forked: {m:?}"
-        );
-        assert_eq!(
-            m.sink_script_hits_lone + m.sink_script_hits_forked,
-            m.sink_script_hits,
-            "lone/forked must partition the sink hits"
         );
     }
 

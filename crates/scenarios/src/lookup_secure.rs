@@ -171,25 +171,6 @@ mod tests {
     }
 
     #[test]
-    fn sink_script_replay_fires_on_the_paper_instance() {
-        // The deterministic anchor for the sink-side script memo: the
-        // branchless copy is one long scripted loop, so once the lanes
-        // have journaled a delta the remaining replays must hit.
-        let report = libgcrypt_163().analyze().unwrap();
-        let m = report.memo_stats();
-        assert!(
-            m.sink_script_hits > 0,
-            "sink-side script replay never fired: {m:?}"
-        );
-        assert!(m.sink_script_events > 0, "hits must cover events");
-        assert_eq!(
-            m.sink_script_hits_lone + m.sink_script_hits_forked,
-            m.sink_script_hits,
-            "lone/forked must partition the sink hits"
-        );
-    }
-
-    #[test]
     fn proof_holds_for_smaller_tables() {
         // 3 entries of 24 words: the branchless copy stays branchless.
         let s = variant(3, 24, 0, 6);

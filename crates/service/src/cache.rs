@@ -558,17 +558,33 @@ pub(crate) fn write_wire_row(out: &mut String, row: &LeakRow) -> fmt::Result {
 
 /// Decodes [`encode_report`]'s format. `None` on any structural or
 /// field-level mismatch (treated as a cache miss by callers).
+///
+/// A document cut short — the torn file a crash between write and
+/// rename can leave behind — is a mismatch too: the closing `]` and `}`
+/// lines and the final newline must be present, and only the last row
+/// may lack its trailing comma, so no proper prefix of a valid document
+/// decodes.
 pub fn decode_report(text: &str) -> Option<LeakReport> {
-    if !text.contains(RESULT_SCHEMA) {
+    if !text.contains(RESULT_SCHEMA) || !text.ends_with('\n') {
         return None;
     }
-    let mut rows = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if !line.starts_with('{') || !line.contains("\"channel\"") {
-            continue;
-        }
-        rows.push(decode_row(line)?);
+    let mut lines: Vec<&str> = text.lines().map(str::trim).collect();
+    if lines.pop()? != "}" || lines.pop()? != "]" {
+        return None;
+    }
+    let row_lines: Vec<&str> = lines
+        .into_iter()
+        .filter(|line| line.starts_with('{') && line.contains("\"channel\""))
+        .collect();
+    let mut rows = Vec::with_capacity(row_lines.len());
+    for (i, line) in row_lines.iter().enumerate() {
+        let last = i + 1 == row_lines.len();
+        let row = match line.strip_suffix(',') {
+            Some(row) if !last => row,
+            None if last => line,
+            _ => return None,
+        };
+        rows.push(decode_row(row)?);
     }
     if rows.is_empty() {
         return None;
@@ -854,5 +870,39 @@ mod tests {
         let good = encode_report(&sample_report());
         let bad = good.replace("\"count_hex\":\"", "\"count_hex\":\"zz");
         assert!(decode_report(&bad).is_none());
+    }
+
+    #[test]
+    fn no_proper_prefix_of_a_report_decodes() {
+        let report = sample_report();
+        let text = encode_report(&report);
+        for cut in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
+            assert!(
+                decode_report(&text[..cut]).is_none(),
+                "prefix of {cut}/{} bytes decoded:\n{}",
+                text.len(),
+                &text[..cut]
+            );
+        }
+        let full = decode_report(&text).expect("full text decodes");
+        assert_eq!(full.rows(), report.rows());
+    }
+
+    #[test]
+    fn truncated_disk_entry_is_a_miss() {
+        let dir = temp_dir("torn");
+        let cache = DiskCache::open(&dir).unwrap();
+        let key = key_n(7);
+        cache.put(key, Arc::new(sample_report()));
+        let path = cache.sharded_path(&key);
+        let text = std::fs::read_to_string(&path).unwrap();
+        // Cut after the third row line, as a crash at a row boundary
+        // would leave the file.
+        let cut = text.match_indices('\n').nth(5).unwrap().0 + 1;
+        std::fs::write(&path, &text[..cut]).unwrap();
+        assert!(cache.get(&key).is_none(), "torn entry must miss");
+        std::fs::write(&path, &text).unwrap();
+        assert!(cache.get(&key).is_some(), "intact entry still hits");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

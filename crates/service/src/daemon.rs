@@ -675,16 +675,6 @@ impl Daemon {
                             Json::num(memo.script_replays_forked),
                         ),
                         ("script_steps", Json::num(memo.script_steps)),
-                        ("sink_script_hits", Json::num(memo.sink_script_hits)),
-                        (
-                            "sink_script_hits_lone",
-                            Json::num(memo.sink_script_hits_lone),
-                        ),
-                        (
-                            "sink_script_hits_forked",
-                            Json::num(memo.sink_script_hits_forked),
-                        ),
-                        ("sink_script_events", Json::num(memo.sink_script_events)),
                     ])
                 },
             ),
@@ -1047,30 +1037,6 @@ mod tests {
         assert!(replays > 0, "the gather loop repeats as a superblock");
         assert_eq!(lone + forked, replays, "replay split must sum to total");
         assert!(scripted >= replays, "a replay covers at least one step");
-
-        // Sink-side script counters ride in the same block: the gather
-        // loop's scripted runs must also have been replayed as bulk DAG
-        // deltas, and the lone/forked split must partition the hits.
-        let sink_hits = memo.get("sink_script_hits").and_then(Json::as_u64).unwrap();
-        let sink_lone = memo
-            .get("sink_script_hits_lone")
-            .and_then(Json::as_u64)
-            .unwrap();
-        let sink_forked = memo
-            .get("sink_script_hits_forked")
-            .and_then(Json::as_u64)
-            .unwrap();
-        let sink_events = memo
-            .get("sink_script_events")
-            .and_then(Json::as_u64)
-            .unwrap();
-        assert!(sink_hits > 0, "scripted runs must hit the sink memo");
-        assert_eq!(
-            sink_lone + sink_forked,
-            sink_hits,
-            "sink hit split must sum to total"
-        );
-        assert!(sink_events >= sink_hits, "a hit covers at least one event");
 
         // Per-op counters: one line of each op so far, the result split
         // into waiting and rendering within its total.

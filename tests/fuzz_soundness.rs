@@ -5,7 +5,12 @@
 //!
 //! This exercises assembler → decoder → abstract interpreter → trace
 //! domain → counting against assembler → decoder → emulator → concrete
-//! views, end to end, on programs nobody hand-picked.
+//! views, end to end, on programs nobody hand-picked. Generated programs
+//! include counted loops whose bodies may branch on the secret, so the
+//! interpreter's memo layers (per-pc transfer memo, superblock scripts)
+//! see repeated blocks, some under forks; every program is analyzed
+//! with the memo on and off, the two reports must agree row for row, and
+//! both must bound the concrete views.
 
 use std::collections::BTreeSet;
 
@@ -33,6 +38,13 @@ enum Step {
     /// `test r, r; je +skip-one` — a (possibly secret-dependent) branch
     /// over the following step.
     SkipNextIfZero(Reg),
+    /// `mov ebp, trips; top: body; dec ebp; jnz top` — a counted loop
+    /// whose body may branch on the secret. `ebp` is the counter; no
+    /// other step touches it, and loops do not nest.
+    Loop {
+        trips: u32,
+        body: Vec<Step>,
+    },
 }
 
 fn regs() -> impl Strategy<Value = Reg> {
@@ -49,20 +61,27 @@ fn alu_ops() -> impl Strategy<Value = AluOp> {
     ])
 }
 
-fn steps() -> impl Strategy<Value = Vec<Step>> {
-    let step = prop_oneof![
+/// Every step kind but [`Step::Loop`].
+fn plain_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
         (alu_ops(), regs(), any::<u32>()).prop_map(|(o, r, i)| Step::AluImm(o, r, i)),
         (alu_ops(), regs(), regs()).prop_map(|(o, a, b)| Step::AluReg(o, a, b)),
         (any::<bool>(), regs(), 0u8..16).prop_map(|(l, r, a)| Step::Shift(l, r, a)),
         (regs(), regs()).prop_map(|(from, into)| Step::LoadIndexed { from, into }),
         (regs(), regs()).prop_map(|(from, index_src)| Step::StoreIndexed { from, index_src }),
         regs().prop_map(Step::SkipNextIfZero),
-    ];
-    proptest::collection::vec(step, 1..8)
+    ]
 }
 
-fn emit(asm: &mut Asm, steps: &[Step]) {
-    let mut label = 0usize;
+fn steps() -> impl Strategy<Value = Vec<Step>> {
+    let counted_loop = (2u32..7, proptest::collection::vec(plain_step(), 1..5))
+        .prop_map(|(trips, body)| Step::Loop { trips, body });
+    proptest::collection::vec(prop_oneof![plain_step(), counted_loop], 1..8)
+}
+
+/// Emits `steps`, numbering branch targets from `*label` up so nested
+/// emission never reuses a name.
+fn emit(asm: &mut Asm, steps: &[Step], label: &mut usize) {
     let mut i = 0;
     while i < steps.len() {
         match &steps[i] {
@@ -99,19 +118,28 @@ fn emit(asm: &mut Asm, steps: &[Step]) {
             }
             Step::SkipNextIfZero(r) => {
                 let name = format!("skip{label}");
-                label += 1;
+                *label += 1;
                 asm.test(*r, *r);
                 asm.je(name.as_str());
                 // Emit the next step inside the branch (if any), then land.
                 if i + 1 < steps.len() {
                     // Only emit simple steps inside; recurse one level.
                     let inner = [steps[i + 1].clone()];
-                    if !matches!(steps[i + 1], Step::SkipNextIfZero(_)) {
-                        emit(asm, &inner);
+                    if !matches!(steps[i + 1], Step::SkipNextIfZero(_) | Step::Loop { .. }) {
+                        emit(asm, &inner, label);
                         i += 1;
                     }
                 }
                 asm.label(name.as_str());
+            }
+            Step::Loop { trips, body } => {
+                let name = format!("loop{label}");
+                *label += 1;
+                asm.mov(Reg::Ebp, *trips);
+                asm.label(name.as_str());
+                emit(asm, body, label);
+                asm.dec(Reg::Ebp);
+                asm.jne(name.as_str());
             }
         }
         i += 1;
@@ -130,7 +158,7 @@ proptest! {
     ) {
         // Assemble.
         let mut asm = Asm::new(0x1000);
-        emit(&mut asm, &program_steps);
+        emit(&mut asm, &program_steps, &mut 0);
         asm.hlt();
         let program = asm.assemble().expect("generated program assembles");
 
@@ -141,9 +169,17 @@ proptest! {
         init.set_reg(Reg::Edx, ValueSet::constant(u64::from(edx0), 32));
         init.set_reg(Reg::Edi, ValueSet::constant(0, 32));
         init.set_reg(Reg::Ecx, ValueSet::from_constants(secrets.iter().copied(), 32));
+        let input = AnalysisInput { program: program.clone(), init };
         let report = Analysis::new(AnalysisConfig::default())
-            .run(&AnalysisInput { program: program.clone(), init })
+            .run(&input)
             .expect("analysis terminates");
+        let naive = Analysis::new(AnalysisConfig {
+            interp_memo: false,
+            ..AnalysisConfig::default()
+        })
+        .run(&input)
+        .expect("memo-off analysis terminates");
+        prop_assert_eq!(report.rows(), naive.rows(), "memo on/off rows differ");
 
         // Concrete sweep over the secret.
         let mut traces = Vec::new();
@@ -176,18 +212,21 @@ proptest! {
                         obs.view_concrete(&addrs)
                     })
                     .collect();
-                let row = report
-                    .rows()
-                    .iter()
-                    .find(|r| r.spec.channel == channel && r.spec.observer == obs)
-                    .expect("row present");
-                if let Some(bound) = row.count.to_u64() {
-                    prop_assert!(
-                        views.len() as u64 <= bound,
-                        "{channel}/{obs}: {} concrete views > bound {bound}\nsteps: {:?}",
-                        views.len(),
-                        program_steps
-                    );
+                for (memo, analysis) in [("on", &report), ("off", &naive)] {
+                    let row = analysis
+                        .rows()
+                        .iter()
+                        .find(|r| r.spec.channel == channel && r.spec.observer == obs)
+                        .expect("row present");
+                    if let Some(bound) = row.count.to_u64() {
+                        prop_assert!(
+                            views.len() as u64 <= bound,
+                            "{channel}/{obs} (memo {memo}): {} concrete views > bound \
+                             {bound}\nsteps: {:?}",
+                            views.len(),
+                            program_steps
+                        );
+                    }
                 }
             }
         }
