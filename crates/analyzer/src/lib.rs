@@ -463,9 +463,9 @@ impl Analysis {
     /// the returned report contains every member's suite as an in-order
     /// subset of its rows — each member's solo report can be projected
     /// out bit-identically without re-running anything. Within the
-    /// pass, sinks share a projection memo, so each distinct
-    /// `ValueSet × offset` projects once per group rather than once per
-    /// sink.
+    /// pass, every sink of one offset-bits class shares one projection
+    /// per event, so an access projects once per granularity in the
+    /// group rather than once per spec.
     ///
     /// # Panics
     ///

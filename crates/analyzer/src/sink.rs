@@ -20,68 +20,22 @@
 //! Each sink implements the per-observer protocol of §6.4 verbatim:
 //! `Fork` duplicates a frontier cursor ([`TraceDag::clone_cursor`]),
 //! `Merge` applies the delayed ε-join ([`TraceDag::merge_cursors`]),
-//! `Access` is the update rule (projection at update time), and `Retire`
-//! folds a halted path into the final frontier. The final count per sink
-//! is `cnt^π(v)` of Theorem 1 / Proposition 2; because every sink sees
+//! `Access` is the update rule (projection at update time, once per
+//! event per offset-bits class, then one [`TraceDag::update`] per lane),
+//! and `Retire` folds a halted path into the final frontier. The final
+//! count per sink is `cnt^π(v)` of Theorem 1 / Proposition 2, taken in
+//! one counting pass ([`TraceDag::count`]); because every sink sees
 //! the events of *every* abstract path in the order the scheduler
 //! produced them, the per-sink replay is observationally identical to
 //! the old engine that threaded one `Vec<Option<Cursor>>` through every
 //! configuration — bit-for-bit, as the batch-consistency suite checks.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::time::{Duration, Instant};
 
-use leakaudit_core::{Cursor, MemoKey, ObsSet, TraceDag, ValueSet};
+use leakaudit_core::{Cursor, ObsSet, TraceDag, ValueSet};
 use leakaudit_mpi::Natural;
 
 use crate::report::{Channel, LeakRow, ObserverSpec, PhaseTimings};
-
-/// FxHash-style multiply-xor hasher (the rustc/Firefox construction):
-/// [`MemoKey`]s are hashed once per trace event per sink, so SipHash's
-/// per-call setup would dominate the projection cache it guards.
-#[derive(Default)]
-struct FxHasher {
-    hash: u64,
-}
-
-impl FxHasher {
-    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u8(&mut self, v: u8) {
-        self.add(u64::from(v));
-    }
-
-    fn write_u32(&mut self, v: u32) {
-        self.add(u64::from(v));
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.add(v);
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.add(v as u64);
-    }
-}
 
 /// Identifier of one live configuration (abstract execution path).
 ///
@@ -158,10 +112,8 @@ pub enum TraceEvent {
         config: ConfigId,
         /// Fetch or data.
         kind: AccessKind,
-        /// The abstract address set. Its [`MemoKey`] is *not* carried in
-        /// the event — inline keys would double the event size and every
-        /// event is moved through buffers on the hot path; the consuming
-        /// class sinks derive it once per visible event instead.
+        /// The abstract address set, unprojected: each consuming class
+        /// sink projects it once at its own granularity.
         addresses: ValueSet,
     },
     /// The configuration reached `hlt`; its frontier joins the final
@@ -236,15 +188,14 @@ impl Lane {
         let theirs = self.take(from);
         let merged = self.dag.merge_cursors(mine, theirs);
         self.put(into, merged);
-        self.maybe_compact();
     }
 
     /// Advances `config`'s cursor by one observation (the §6.4 update
-    /// rule).
+    /// rule), in its own table slot.
     fn access(&mut self, config: ConfigId, obs: &ObsSet) {
-        let cur = self.take(config);
-        let cur = self.dag.update(cur, obs);
-        self.put(config, cur);
+        let slot = &mut self.cursors[config.0 as usize];
+        let cur = slot.take().expect("cursor present for config");
+        *slot = Some(self.dag.update(cur, obs));
     }
 
     fn retire(&mut self, config: ConfigId) {
@@ -253,26 +204,6 @@ impl Lane {
             None => cur,
             Some(acc) => self.dag.merge_cursors(acc, cur),
         });
-        self.maybe_compact();
-    }
-
-    /// Reclaim dead DAG vertices once they dominate the table. Joins are
-    /// the only producer of dead vertices, so this runs after `Merge`
-    /// and `Retire` events; fork-heavy runs (defensive copies analyzed
-    /// with thousands of joins) otherwise re-scan an ever-growing
-    /// graveyard in every counting pass.
-    fn maybe_compact(&mut self) {
-        const MIN_DEAD: usize = 1024;
-        if self.dag.dead_vertices() >= MIN_DEAD
-            && self.dag.dead_vertices() * 2 >= self.dag.vertex_count()
-        {
-            self.dag.compact(
-                self.cursors
-                    .iter_mut()
-                    .flatten()
-                    .chain(self.finals.as_mut()),
-            );
-        }
     }
 
     fn into_row(self) -> LeakRow {
@@ -301,23 +232,20 @@ impl Lane {
 /// depends only on the offset bits; neither the channel (which decides
 /// *visibility*, filtered per lane) nor stuttering (which changes how a
 /// lane's DAG consumes an observation, never the observation itself)
-/// enters it. So the class sink derives the [`MemoKey`] and resolves
-/// the projection **once per event**, then fans the resolved [`ObsSet`]
-/// out to the lanes whose channel sees the access. Grouping by offset
-/// alone (rather than per (channel, offset) pair) matters on the hot
-/// path: a fetch used to be keyed, hashed, and resolved separately by
-/// the instruction-channel and shared-channel sinks of every
-/// granularity; now each granularity pays once. Lanes are *not* merged
-/// into one DAG: stuttering and exact observers build structurally
-/// different DAGs (a stutter keeps the cursor on a vertex an exact
-/// observer would have extended past), so sharing a DAG across them
-/// would change counts.
+/// enters it. So the class sink projects the address set **once per
+/// event**, then fans the borrowed [`ObsSet`] out to the lanes whose
+/// channel sees the access. Grouping by offset alone (rather than per
+/// (channel, offset) pair) matters on the hot path: a fetch is projected
+/// once per granularity, not once by each of the instruction-channel
+/// and shared-channel lanes. Lanes are *not* merged into one DAG:
+/// stuttering and exact observers build structurally different DAGs (a
+/// stutter keeps the cursor on a vertex an exact observer would have
+/// extended past), so sharing a DAG across them would change counts.
 pub struct DagSink {
     lanes: Vec<Lane>,
     /// Whether any lane sees (fetches, data accesses) — lets the front
-    /// end skip key derivation and projection for invisible kinds.
+    /// end skip projection for invisible kinds.
     sees: (bool, bool),
-    proj: HashMap<MemoKey, ObsSet, BuildHasherDefault<FxHasher>>,
 }
 
 impl DagSink {
@@ -350,7 +278,6 @@ impl DagSink {
                     .any(|s| AccessKind::Fetch.visible_to(s.channel)),
                 specs.iter().any(|s| AccessKind::Data.visible_to(s.channel)),
             ),
-            proj: HashMap::default(),
         }
     }
 
@@ -372,13 +299,10 @@ impl DagSink {
                 kind,
                 addresses,
             } => {
-                // The memo key is derived and the projection resolved
-                // once per class; all lanes project identically, so
-                // lane 0's observer stands in for the class. The
-                // observation is *borrowed* out of the projection map
-                // for the lane fan-out — cloning it per event would
-                // put an allocation on the hottest path for every
-                // multi-element address set. Visibility is a per-lane
+                // Projected once per class (paper §6.4: projection at
+                // update time); all lanes project identically, so lane
+                // 0's observer stands in for the class, and every lane
+                // borrows the one observation. Visibility is a per-lane
                 // channel filter.
                 let visible = match kind {
                     AccessKind::Fetch => self.sees.0,
@@ -387,15 +311,10 @@ impl DagSink {
                 if !visible {
                     return;
                 }
-                let key = addresses.memo_key();
-                let observer = self.lanes[0].dag.observer();
-                let obs = self
-                    .proj
-                    .entry(key)
-                    .or_insert_with(|| observer.project_set(addresses));
+                let obs = self.lanes[0].dag.observer().project_set(addresses);
                 for lane in &mut self.lanes {
                     if kind.visible_to(lane.spec.channel) {
-                        lane.access(*config, obs);
+                        lane.access(*config, &obs);
                     }
                 }
             }

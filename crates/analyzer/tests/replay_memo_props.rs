@@ -1,17 +1,18 @@
-//! Property tests pinning the memoized class-sink replay bit-identical
-//! to a naive, memo-free replay of the same event stream.
+//! Property tests pinning the production class-sink replay bit-identical
+//! to a naive, one-spec-at-a-time replay of the same event stream.
 //!
-//! The production sinks ([`DagSink`]) layer caches over trace replay:
-//! the per-class projection map (one `project_set` per distinct address
-//! set and granularity) and DAG compaction. Neither may change a single
-//! bit of the resulting counts. The reference implementation here
-//! replays the identical event stream straight through the public
-//! [`TraceDag`] API — one `project_set` and one `update` per event, no
-//! memo of any kind, no compaction — and the properties assert that
-//! counts and bits agree exactly for every spec, over random
-//! fork/merge/retire salads, repeated loop-like accesses, and
-//! stuttering and exact observers. The stream reaches the sinks through
-//! [`run_pipeline`], the production bus.
+//! The production sinks ([`DagSink`]) share work across specs: one
+//! `project_set` per event per offset-bits class, borrowed by every lane
+//! of the class, over a chunked bus with a dense per-lane cursor table.
+//! None of that may change a single bit of the resulting counts. The
+//! reference implementation here replays the identical event stream
+//! straight through the public [`TraceDag`] API — one spec per DAG, its
+//! own `project_set` and one `update` per visible event, cursors in a
+//! hash map — and the properties assert that counts and bits agree
+//! exactly for every spec, over random fork/merge/retire salads,
+//! repeated loop-like accesses, and stuttering and exact observers. The
+//! stream reaches the sinks through [`run_pipeline`], the production
+//! bus.
 
 use std::collections::HashMap;
 
@@ -22,8 +23,8 @@ use leakaudit_mpi::Natural;
 use proptest::prelude::*;
 
 /// The observer suite under test: exact and stuttering lanes at several
-/// granularities on every channel, so classes mix lane kinds and the
-/// projection memo is shared across channels of equal offset bits.
+/// granularities on every channel, so classes mix lane kinds and one
+/// projection is shared across channels of equal offset bits.
 fn suite() -> Vec<ObserverSpec> {
     let spec = |channel, observer| ObserverSpec { channel, observer };
     vec![
@@ -39,9 +40,8 @@ fn suite() -> Vec<ObserverSpec> {
 }
 
 /// A small fixed pool of address sets, built once per stream so that
-/// cloned entries share [`leakaudit_core::MemoKey`] identity — repeats
-/// from the pool are exactly what the projection memo exists to
-/// capture. Entry 4 crosses the block(6) boundary, entry 3 stays inside
+/// cloned entries share [`leakaudit_core::MemoKey`] identity — repeated
+/// address sets, the loop-body shape. Entry 4 crosses the block(6) boundary, entry 3 stays inside
 /// one block (same-unit for coarse observers, distinct for `address()`).
 fn address_pool() -> Vec<ValueSet> {
     vec![
@@ -165,9 +165,9 @@ fn build_events(ops: &[RawOp]) -> Vec<TraceEvent> {
     events
 }
 
-/// The reference replayer: one spec, one DAG, no memo of any kind. Every
-/// visible access pays a fresh `project_set` and goes through the
-/// general [`TraceDag::update`] path; no compaction ever runs.
+/// The reference replayer: one spec, one DAG, nothing shared. Every
+/// visible access pays its own `project_set` and one
+/// [`TraceDag::update`].
 struct Naive {
     channel: Channel,
     observer: Observer,
@@ -301,8 +301,8 @@ proptest! {
         }
     }
 
-    /// Solo memoized sinks (one spec each, no class sharing, no shared
-    /// projection memo) agree with the class layout — the two
+    /// Solo sinks (one spec each, no class sharing, no shared
+    /// projection) agree with the class layout — the two
     /// production configurations may never diverge from each other.
     #[test]
     fn solo_sinks_match_class_sinks(ops in proptest::collection::vec(raw_op(), 0..80)) {

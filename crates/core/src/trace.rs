@@ -19,7 +19,6 @@
 //! DAG can track how many paths share each frontier vertex — in-place
 //! repetition bumps are only sound for exclusively-owned vertices.
 
-use std::cell::{Cell, RefCell};
 use std::fmt;
 
 use leakaudit_mpi::Natural;
@@ -151,7 +150,10 @@ impl Cnt {
                 Some(s) => Cnt::Small(s),
                 None => Cnt::Big(natural_from_u128(*a) + natural_from_u128(*b)),
             },
-            _ => Cnt::Big(self.to_natural() + other.to_natural()),
+            (Cnt::Big(a), Cnt::Big(b)) => Cnt::Big(a + b),
+            (Cnt::Big(a), Cnt::Small(b)) | (Cnt::Small(b), Cnt::Big(a)) => {
+                Cnt::Big(a + &natural_from_u128(*b))
+            }
         }
     }
 
@@ -161,19 +163,15 @@ impl Cnt {
                 Some(p) => Cnt::Small(p),
                 None => Cnt::Big(&natural_from_u128(*a) * &natural_from_u128(*b)),
             },
-            _ => Cnt::Big(&self.to_natural() * &other.to_natural()),
+            (Cnt::Big(a), Cnt::Big(b)) => Cnt::Big(a * b),
+            (Cnt::Big(a), Cnt::Small(b)) | (Cnt::Small(b), Cnt::Big(a)) => {
+                Cnt::Big(a * &natural_from_u128(*b))
+            }
         }
     }
 
     fn mul_u64(&self, factor: u64) -> Cnt {
         self.mul(&Cnt::Small(u128::from(factor)))
-    }
-
-    fn to_natural(&self) -> Natural {
-        match self {
-            Cnt::Small(n) => natural_from_u128(*n),
-            Cnt::Big(n) => n.clone(),
-        }
     }
 
     fn into_natural(self) -> Natural {
@@ -215,6 +213,9 @@ struct Vertex {
     children: u32,
     /// Number of live cursors whose frontier includes this vertex.
     cursor_refs: u32,
+    /// Dissolved into a sibling by the §6.4 join rule: no edge or cursor
+    /// refers to it again. It stays in the arena — at most one per
+    /// sibling merge — and the counting pass skips it.
     dead: bool,
 }
 
@@ -288,23 +289,6 @@ impl VertexArena {
     fn iter(&self) -> impl Iterator<Item = &Vertex> {
         self.chunks.iter().flatten()
     }
-
-    fn iter_mut(&mut self) -> impl Iterator<Item = &mut Vertex> {
-        self.chunks.iter_mut().flatten()
-    }
-
-    /// Drops dead vertices, sliding the live ones down in order (the
-    /// arena analogue of `Vec::retain`).
-    fn retain_live(&mut self) {
-        let old = std::mem::take(&mut self.chunks);
-        self.len = 0;
-        self.chunks.push(Vec::new());
-        for v in old.into_iter().flatten() {
-            if !v.dead {
-                self.push(v);
-            }
-        }
-    }
 }
 
 impl std::ops::Index<usize> for VertexArena {
@@ -354,17 +338,9 @@ impl Cursor {
 #[derive(Debug)]
 pub struct TraceDag {
     observer: Observer,
+    /// Vertex ids are topological: predecessors precede children, and
+    /// the ε root is vertex 0.
     vertices: VertexArena,
-    root: VertexId,
-    /// Number of currently dead (unreclaimed) vertices.
-    dead_count: usize,
-    /// Per-vertex memo of the counting pass (see [`TraceDag::count`]).
-    /// Vertex ids are allocated in topological order, so a mutation of
-    /// vertex `i` can only change counts of vertices `>= i`: the memo is
-    /// a valid *prefix*, and `memo_floor` tracks how much of it survives
-    /// the mutations since the last count.
-    memo: RefCell<Vec<Cnt>>,
-    memo_floor: Cell<usize>,
 }
 
 impl TraceDag {
@@ -381,10 +357,6 @@ impl TraceDag {
         let dag = TraceDag {
             observer,
             vertices: VertexArena::new(root),
-            root: VertexId(0),
-            dead_count: 0,
-            memo: RefCell::new(Vec::new()),
-            memo_floor: Cell::new(0),
         };
         let cursor = Cursor {
             verts: vec![VertexId(0)],
@@ -395,71 +367,6 @@ impl TraceDag {
     /// The observer this DAG projects through.
     pub fn observer(&self) -> Observer {
         self.observer
-    }
-
-    /// Number of vertices in the table (live plus dead-but-unreclaimed;
-    /// see [`TraceDag::compact`]).
-    pub fn vertex_count(&self) -> usize {
-        self.vertices.len()
-    }
-
-    /// Number of dead vertices awaiting reclamation.
-    pub fn dead_vertices(&self) -> usize {
-        self.dead_count
-    }
-
-    /// Invalidate the count memo from vertex `v` on: the prefix below `v`
-    /// is unaffected by any mutation of `v` (ids are topological).
-    fn touch(&self, v: VertexId) {
-        if v.index() < self.memo_floor.get() {
-            self.memo_floor.set(v.index());
-        }
-    }
-
-    /// Reclaims dead vertices, remapping ids.
-    ///
-    /// Vertices flagged `dead` by sibling merges are never referenced
-    /// again — not by edges (only childless vertices die) and not by
-    /// cursors (they are dropped from the frontier at merge time) — but
-    /// they used to sit in the table forever, scanned by every counting
-    /// pass. This slides the live vertices down (preserving topological
-    /// id order) and rewrites all edges.
-    ///
-    /// **Every live cursor of this DAG must be passed in** so its frontier
-    /// ids can be rewritten; using a cursor that skipped a compaction is
-    /// undefined (panics or wrong counts).
-    pub fn compact<'a>(&mut self, cursors: impl IntoIterator<Item = &'a mut Cursor>) {
-        if self.dead_count == 0 {
-            return;
-        }
-        let mut remap: Vec<Option<VertexId>> = Vec::with_capacity(self.vertices.len());
-        let mut next = 0u32;
-        for v in self.vertices.iter() {
-            if v.dead {
-                remap.push(None);
-            } else {
-                remap.push(Some(VertexId(next)));
-                next += 1;
-            }
-        }
-        let map = |id: VertexId| remap[id.index()].expect("compact: edge to a dead vertex");
-        self.vertices.retain_live();
-        for v in self.vertices.iter_mut() {
-            v.preds = match &v.preds {
-                Preds::None => Preds::None,
-                Preds::One(p) => Preds::One(map(*p)),
-                Preds::Many(ps) => Preds::Many(ps.iter().map(|p| map(*p)).collect()),
-            };
-        }
-        self.root = map(self.root);
-        for c in cursors {
-            for v in &mut c.verts {
-                *v = map(*v);
-            }
-        }
-        self.dead_count = 0;
-        self.memo.borrow_mut().clear();
-        self.memo_floor.set(0);
     }
 
     /// Duplicates a cursor when the analysis forks on an unknown branch.
@@ -509,9 +416,9 @@ impl TraceDag {
     /// Records one access with an already-projected observation set
     /// (paper §6.4 update).
     ///
-    /// The observation set is borrowed: the analyzer's sinks replay it
-    /// out of a projection cache, and the stuttering/repetition fast
-    /// paths never need an owned copy.
+    /// The observation set is borrowed: the analyzer's class sinks project
+    /// an access once and hand the same set to every lane, and the
+    /// stuttering/repetition fast paths never need an owned copy.
     pub fn update(&mut self, c: Cursor, obs: &ObsSet) -> Cursor {
         // Fast path: a single frontier vertex — the overwhelmingly common
         // case (straight-line code between forks). Reuses the cursor's
@@ -532,7 +439,7 @@ impl TraceDag {
     ///
     /// A vertex is count-transparent when its repetition factor and its
     /// label factor are both 1 (a singleton repetition set and a
-    /// singleton observation): its memoized count equals its
+    /// singleton observation): its count equals its
     /// predecessor's, so removing it from the path cannot change any
     /// trace count. Overwriting additionally requires that nothing else
     /// can ever observe `v`'s identity:
@@ -572,7 +479,6 @@ impl TraceDag {
             DagStep::Stutter => c,
             DagStep::Bump => {
                 self.vertices[v.index()].reps.bump();
-                self.touch(v);
                 c
             }
             DagStep::Extend => {
@@ -584,7 +490,6 @@ impl TraceDag {
                     let vert = &mut self.vertices[v.index()];
                     vert.label = Label::Obs(obs.clone());
                     vert.reps = Reps::one();
-                    self.touch(v);
                     return c;
                 }
                 let mut verts = c.verts;
@@ -612,7 +517,6 @@ impl TraceDag {
                 DagStep::Stutter => stuttered.push(v),
                 DagStep::Bump => {
                     self.vertices[v.index()].reps.bump();
-                    self.touch(v);
                     stuttered.push(v);
                 }
                 DagStep::Extend => pending.push(v),
@@ -707,13 +611,10 @@ impl TraceDag {
                 };
                 let dropped_reps = self.vertices[drop.index()].reps.clone();
                 self.vertices[keep.index()].reps.extend_from(&dropped_reps);
-                self.touch(keep);
                 for p in self.vertices[drop.index()].preds.clone().as_slice() {
                     self.vertices[p.index()].children -= 1;
                 }
                 self.vertices[drop.index()].dead = true;
-                self.dead_count += 1;
-                self.touch(drop);
                 verts[i] = keep;
                 verts.remove(j);
             }
@@ -726,40 +627,30 @@ impl TraceDag {
     /// Proposition 2. For stuttering observers the repetition factor
     /// `|R(v)|` is replaced by 1.
     ///
-    /// Per-vertex counts are accumulated in `u128` machine words and only
-    /// spill into big-number arithmetic once a product overflows: the
-    /// zero-leak case studies (counts staying 1 across tens of thousands
-    /// of vertices) never allocate a single limb vector.
-    ///
-    /// The per-vertex counts are **memoized across calls**: because vertex
-    /// ids are topological (predecessors precede children), any mutation
-    /// of vertex `i` — a repetition bump, a sibling merge — leaves the
-    /// counts of vertices `< i` untouched, so each call only recomputes
-    /// from the lowest vertex mutated since the previous one. Repeated
-    /// counting (per-sink rows, incremental service queries) is
-    /// incremental instead of a full re-scan.
+    /// One pass over the vertices in id order, which is topological
+    /// (predecessors precede children). Per-vertex counts are accumulated
+    /// in `u128` machine words and only spill into big-number arithmetic
+    /// once a product overflows: the zero-leak case studies (counts
+    /// staying 1 across tens of thousands of vertices) never allocate a
+    /// single limb vector. A predecessor read by exactly one child and
+    /// held by no cursor hands its count over instead of copying it (see
+    /// `pred_count`), so a chain of big counts is not cloned vertex by
+    /// vertex.
     pub fn count(&self, c: &Cursor) -> Natural {
-        let mut memo = self.memo.borrow_mut();
-        memo.truncate(self.memo_floor.get());
-        let missing = self.vertices.len() - memo.len();
-        memo.reserve(missing);
-        for i in memo.len()..self.vertices.len() {
-            let v = &self.vertices[i];
+        let mut counts: Vec<Cnt> = Vec::with_capacity(self.vertices.len());
+        for v in self.vertices.iter() {
             if v.dead {
                 // Placeholder: dead vertices have no children and sit on
                 // no frontier, so this entry is never read.
-                memo.push(Cnt::Small(0));
+                counts.push(Cnt::Small(0));
                 continue;
             }
-            let preds = v.preds.as_slice();
-            let preds_sum = if preds.is_empty() {
-                Cnt::Small(1)
-            } else {
-                let mut s = Cnt::Small(0);
-                for p in preds {
-                    s = s.add(&memo[p.index()]);
-                }
-                s
+            let preds_sum = match v.preds.as_slice() {
+                [] => Cnt::Small(1),
+                [p] => self.pred_count(&mut counts, *p),
+                preds => preds.iter().fold(Cnt::Small(0), |s, &p| {
+                    s.add(&self.pred_count(&mut counts, p))
+                }),
             };
             let rep_factor = if self.observer.is_stuttering() {
                 1
@@ -780,14 +671,28 @@ impl TraceDag {
                 (1, _) => preds_sum.mul(&label_factor),
                 _ => preds_sum.mul_u64(rep_factor).mul(&label_factor),
             };
-            memo.push(entry);
+            counts.push(entry);
         }
-        self.memo_floor.set(self.vertices.len());
         let mut total = Cnt::Small(0);
         for &v in &c.verts {
-            total = total.add(&memo[v.index()]);
+            total = total.add(&counts[v.index()]);
         }
         total.into_natural()
+    }
+
+    /// Predecessor `p`'s count, as read by one of its children during
+    /// [`TraceDag::count`]. When `p` has a single child edge and no
+    /// cursor, that child is its only reader — no sibling and no frontier
+    /// sum ever reads it again — so the count is moved out of `counts`
+    /// rather than cloned.
+    fn pred_count(&self, counts: &mut [Cnt], p: VertexId) -> Cnt {
+        let pred = &self.vertices[p.index()];
+        let slot = &mut counts[p.index()];
+        if pred.children == 1 && pred.cursor_refs == 0 {
+            std::mem::replace(slot, Cnt::Small(0))
+        } else {
+            slot.clone()
+        }
     }
 
     /// Converts an observation count to a leakage bound in bits:
@@ -815,7 +720,7 @@ impl TraceDag {
                 continue;
             }
             let label = match &v.label {
-                Label::Epsilon if VertexId(i as u32) == self.root => "r".to_string(),
+                Label::Epsilon if i == 0 => "r".to_string(),
                 Label::Epsilon => "ε".to_string(),
                 Label::Obs(o) => format!("{o}"),
             };
@@ -1007,9 +912,9 @@ mod tests {
 
     #[test]
     fn interleaved_counts_stay_correct_under_mutation() {
-        // Exercises the memo's prefix invalidation: count after every
-        // mutation kind (extend, in-place bump, fork, sibling merge) and
-        // check each intermediate value against the closed form.
+        // Count after every mutation kind (extend, in-place bump, fork,
+        // sibling merge) and check each intermediate value against the
+        // closed form.
         let (mut dag, mut cur) = TraceDag::new(Observer::address());
         cur = dag.access(cur, &consts(&[0x10]));
         assert_eq!(dag.count(&cur).to_u64(), Some(1));
@@ -1030,41 +935,6 @@ mod tests {
         // Same label, same parent: the sibling paths collapse to one
         // vertex with R = {1} — no extra factor.
         assert_eq!(dag.count(&cur).to_u64(), Some(2));
-    }
-
-    #[test]
-    fn compaction_reclaims_dead_vertices_and_preserves_counts() {
-        let (mut dag, mut cur) = TraceDag::new(Observer::address());
-        // Generate dead vertices: fork/merge with equal labels makes the
-        // sibling merge kill one vertex per round.
-        for round in 0..20u64 {
-            cur = dag.access(cur, &consts(&[round]));
-            let other = dag.clone_cursor(&cur);
-            cur = dag.access(cur, &consts(&[0x1000 + round]));
-            let other = dag.access(other, &consts(&[0x1000 + round]));
-            cur = dag.merge_cursors(cur, other);
-        }
-        let before = dag.count(&cur);
-        let dead = dag.dead_vertices();
-        assert!(dead > 0, "the fork/merge rounds must kill siblings");
-        let total_before = dag.vertex_count();
-        dag.compact([&mut cur]);
-        assert_eq!(dag.dead_vertices(), 0);
-        assert_eq!(dag.vertex_count(), total_before - dead);
-        assert_eq!(dag.count(&cur), before, "counts survive the remap");
-        // The DAG remains fully usable after compaction.
-        cur = dag.access(cur, &consts(&[0x9000, 0x9001]));
-        assert_eq!(dag.count(&cur), &before * &Natural::from(2u32));
-    }
-
-    #[test]
-    fn compaction_with_no_dead_vertices_is_a_noop() {
-        let (mut dag, mut cur) = TraceDag::new(Observer::address());
-        cur = dag.access(cur, &consts(&[0x10]));
-        let n = dag.vertex_count();
-        dag.compact([&mut cur]);
-        assert_eq!(dag.vertex_count(), n);
-        assert_eq!(dag.count(&cur).to_u64(), Some(1));
     }
 
     #[test]

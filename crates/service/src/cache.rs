@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use leakaudit_analyzer::{Channel, LeakReport, LeakRow, ObserverSpec};
-use leakaudit_core::Observer;
+use leakaudit_core::{Observer, TraceDag};
 use leakaudit_mpi::Natural;
 
 use crate::key::CacheKey;
@@ -557,25 +557,33 @@ pub(crate) fn write_wire_row(out: &mut String, row: &LeakRow) -> fmt::Result {
 }
 
 /// Decodes [`encode_report`]'s format. `None` on any structural or
-/// field-level mismatch (treated as a cache miss by callers).
+/// field-level mismatch (treated as a cache miss by callers): an entry
+/// is served whole and right, or not at all.
 ///
-/// A document cut short — the torn file a crash between write and
-/// rename can leave behind — is a mismatch too: the closing `]` and `}`
-/// lines and the final newline must be present, and only the last row
-/// may lack its trailing comma, so no proper prefix of a valid document
-/// decodes.
+/// - The schema line must name exactly [`RESULT_SCHEMA`]; a document of
+///   another version (`leakaudit-result/v10` included) is a miss.
+/// - Every line between `"rows": [` and `]` must be one whole `{…}` row
+///   object that decodes, so a damaged row line cannot silently drop
+///   out of the report.
+/// - A row's `bits` must be bit-identical to
+///   [`TraceDag::bits_for_count`] of its count — the way every
+///   production row is built — so a damaged count or bits field is
+///   caught even when it still parses.
+/// - A document cut short — the torn file a crash between write and
+///   rename can leave behind — is a mismatch too: the closing `]` and
+///   `}` lines and the final newline must be present, and only the last
+///   row may lack its trailing comma, so no proper prefix of a valid
+///   document decodes.
 pub fn decode_report(text: &str) -> Option<LeakReport> {
-    if !text.contains(RESULT_SCHEMA) || !text.ends_with('\n') {
-        return None;
-    }
-    let mut lines: Vec<&str> = text.lines().map(str::trim).collect();
+    let schema_line = format!("\"schema\": \"{RESULT_SCHEMA}\",");
+    let mut lines: Vec<&str> = text.strip_suffix('\n')?.lines().map(str::trim).collect();
     if lines.pop()? != "}" || lines.pop()? != "]" {
         return None;
     }
-    let row_lines: Vec<&str> = lines
-        .into_iter()
-        .filter(|line| line.starts_with('{') && line.contains("\"channel\""))
-        .collect();
+    let row_lines = match lines.as_slice() {
+        ["{", schema, "\"rows\": [", rows @ ..] if *schema == schema_line => rows,
+        _ => return None,
+    };
     let mut rows = Vec::with_capacity(row_lines.len());
     for (i, line) in row_lines.iter().enumerate() {
         let last = i + 1 == row_lines.len();
@@ -584,7 +592,14 @@ pub fn decode_report(text: &str) -> Option<LeakReport> {
             None if last => line,
             _ => return None,
         };
-        rows.push(decode_row(row)?);
+        if !(row.starts_with('{') && row.ends_with('}')) {
+            return None;
+        }
+        let row = decode_row(row)?;
+        if row.bits.to_bits() != TraceDag::bits_for_count(&row.count).to_bits() {
+            return None;
+        }
+        rows.push(row);
     }
     if rows.is_empty() {
         return None;
@@ -870,6 +885,64 @@ mod tests {
         let good = encode_report(&sample_report());
         let bad = good.replace("\"count_hex\":\"", "\"count_hex\":\"zz");
         assert!(decode_report(&bad).is_none());
+    }
+
+    #[test]
+    fn another_schema_version_is_a_miss() {
+        let good = encode_report(&sample_report());
+        assert!(decode_report(&good).is_some());
+        for other in [
+            "leakaudit-result/v10",
+            "leakaudit-result/v2",
+            "xleakaudit-result/v1",
+        ] {
+            let text = good.replace(RESULT_SCHEMA, other);
+            assert!(decode_report(&text).is_none(), "{other} decoded as v1");
+        }
+    }
+
+    #[test]
+    fn a_damaged_row_line_misses_the_whole_entry() {
+        let good = encode_report(&sample_report());
+        let rows = good.lines().filter(|l| l.contains("\"channel\"")).count();
+        assert!(rows > 1, "the sample has several rows");
+        // Corrupt the leading `{` of each row line in turn: no prefix of
+        // the rows may be served as a hit.
+        for n in 0..rows {
+            let mut seen = 0;
+            let text: String = good
+                .lines()
+                .map(|line| {
+                    let mut line = line.to_string();
+                    if line.contains("\"channel\"") {
+                        if seen == n {
+                            line = line.replacen('{', "#", 1);
+                        }
+                        seen += 1;
+                    }
+                    line + "\n"
+                })
+                .collect();
+            assert!(decode_report(&text).is_none(), "row {n} damaged:\n{text}");
+        }
+    }
+
+    #[test]
+    fn a_count_that_disagrees_with_its_bits_is_a_miss() {
+        let report = sample_report();
+        let good = encode_report(&report);
+        let row = report
+            .rows()
+            .iter()
+            .find(|row| row.count.to_u64() == Some(2))
+            .expect("the sample has a one-bit row");
+        // One flipped digit: count 2 -> 3 still parses, but 1.0 bits is
+        // no longer log2 of it.
+        let line = encode_row(row);
+        let flipped = line.replace("\"count_hex\":\"2\"", "\"count_hex\":\"3\"");
+        assert_ne!(line, flipped);
+        let text = good.replacen(&line, &flipped, 1);
+        assert!(decode_report(&text).is_none());
     }
 
     #[test]
