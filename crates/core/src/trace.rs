@@ -182,6 +182,10 @@ impl Cnt {
     }
 }
 
+/// Panic message of [`TraceDag::count`] when a count is read after its
+/// only reader took it: the DAG's `children`/`cursor_refs` are wrong.
+const HANDED_OVER: &str = "vertex count read after it was handed over";
+
 fn natural_from_u128(n: u128) -> Natural {
     Natural::from_limbs(vec![
         n as u32,
@@ -635,14 +639,16 @@ impl TraceDag {
     /// single limb vector. A predecessor read by exactly one child and
     /// held by no cursor hands its count over instead of copying it (see
     /// `pred_count`), so a chain of big counts is not cloned vertex by
-    /// vertex.
+    /// vertex. A handed-over slot is left empty, so a slip in the
+    /// `children`/`cursor_refs` bookkeeping that lets it be read again
+    /// panics instead of undercounting.
     pub fn count(&self, c: &Cursor) -> Natural {
-        let mut counts: Vec<Cnt> = Vec::with_capacity(self.vertices.len());
+        let mut counts: Vec<Option<Cnt>> = Vec::with_capacity(self.vertices.len());
         for v in self.vertices.iter() {
             if v.dead {
-                // Placeholder: dead vertices have no children and sit on
-                // no frontier, so this entry is never read.
-                counts.push(Cnt::Small(0));
+                // Dead vertices have no children and sit on no frontier,
+                // so this entry is never read.
+                counts.push(None);
                 continue;
             }
             let preds_sum = match v.preds.as_slice() {
@@ -671,11 +677,11 @@ impl TraceDag {
                 (1, _) => preds_sum.mul(&label_factor),
                 _ => preds_sum.mul_u64(rep_factor).mul(&label_factor),
             };
-            counts.push(entry);
+            counts.push(Some(entry));
         }
         let mut total = Cnt::Small(0);
         for &v in &c.verts {
-            total = total.add(&counts[v.index()]);
+            total = total.add(counts[v.index()].as_ref().expect(HANDED_OVER));
         }
         total.into_natural()
     }
@@ -685,14 +691,15 @@ impl TraceDag {
     /// cursor, that child is its only reader — no sibling and no frontier
     /// sum ever reads it again — so the count is moved out of `counts`
     /// rather than cloned.
-    fn pred_count(&self, counts: &mut [Cnt], p: VertexId) -> Cnt {
+    fn pred_count(&self, counts: &mut [Option<Cnt>], p: VertexId) -> Cnt {
         let pred = &self.vertices[p.index()];
         let slot = &mut counts[p.index()];
         if pred.children == 1 && pred.cursor_refs == 0 {
-            std::mem::replace(slot, Cnt::Small(0))
+            slot.take()
         } else {
             slot.clone()
         }
+        .expect(HANDED_OVER)
     }
 
     /// Converts an observation count to a leakage bound in bits:

@@ -567,8 +567,11 @@ pub(crate) fn write_wire_row(out: &mut String, row: &LeakRow) -> fmt::Result {
 ///   out of the report.
 /// - A row's `bits` must be bit-identical to
 ///   [`TraceDag::bits_for_count`] of its count — the way every
-///   production row is built — so a damaged count or bits field is
-///   caught even when it still parses.
+///   production row is built — so damage to the count or bits field that
+///   still parses is caught whenever it changes `log2(count)` as an
+///   `f64`. Damage below that precision is not: a flipped low-order
+///   digit of a count above about 2^53 leaves the `f64` logarithm, and
+///   so the check, unchanged.
 /// - A document cut short — the torn file a crash between write and
 ///   rename can leave behind — is a mismatch too: the closing `]` and
 ///   `}` lines and the final newline must be present, and only the last
@@ -943,6 +946,24 @@ mod tests {
         assert_ne!(line, flipped);
         let text = good.replacen(&line, &flipped, 1);
         assert!(decode_report(&text).is_none());
+    }
+
+    #[test]
+    fn a_low_digit_flip_beyond_f64_precision_still_decodes() {
+        // The count/bits check only sees damage that moves log2(count) as
+        // an f64. Above about 2^53 a low-order digit does not: this entry
+        // is served with the wrong count.
+        let mut row = sample_report().rows()[0].clone();
+        row.count = Natural::from_hex("2000000000000010").unwrap();
+        row.bits = TraceDag::bits_for_count(&row.count);
+        let text = encode_report(&LeakReport::from_rows(vec![row]));
+        let flipped = text.replace("2000000000000010", "2000000000000011");
+        assert_ne!(text, flipped);
+        let decoded = decode_report(&flipped).expect("the flip is invisible to the check");
+        assert_eq!(
+            decoded.rows()[0].count,
+            Natural::from_hex("2000000000000011").unwrap()
+        );
     }
 
     #[test]
