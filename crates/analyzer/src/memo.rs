@@ -113,9 +113,9 @@ const KEY_CAP: usize = 13;
 /// instruction reads, in footprint order.
 ///
 /// Token storage is heap-backed — a `KeyTok` is wide (a [`MemoKey`]
-/// carries inline set elements), so an inline `[KeyTok; KEY_CAP]` made
-/// the buffer ~1.8 KB and dragged every step of the interpreter loop
-/// through multi-KB stack moves (and every decode slot to ~14 KB).
+/// carries a set element), so an inline `[KeyTok; KEY_CAP]` would move
+/// several hundred bytes on every step of the interpreter loop and
+/// grow every decode slot by its eight ways' worth of keys.
 /// With a `Vec`, a `KeyBuf` is pointer-sized in flight: the scheduler
 /// derives each step's key into one **reused scratch buffer** (no
 /// allocation after the first step) and clones an owned copy only when

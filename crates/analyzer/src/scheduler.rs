@@ -63,6 +63,10 @@ const DEADLINE_CHECK_MASK: u64 = 0x3ff;
 /// One live configuration: a program point plus the abstract machine
 /// state that reached it. Trace bookkeeping lives in the observer sinks,
 /// keyed by `id` — configurations no longer carry cursors.
+///
+/// The worklist holds configurations boxed: every step pops one and
+/// pushes it back, so a step moves a pointer rather than the state, and
+/// only a fork allocates.
 struct Config {
     id: ConfigId,
     pc: u32,
@@ -313,11 +317,11 @@ pub(crate) fn drive(
     let mut table = init.table.clone();
     let mut decode = DecodeCache::new(program);
     let mut next_id: u64 = ConfigId::ROOT.0 + 1;
-    let mut configs = vec![Config {
+    let mut configs = vec![Box::new(Config {
         id: ConfigId::ROOT,
         pc: program.entry(),
         state: init.state.clone(),
-    }];
+    })];
     // Resource accounting: `steps` counts abstractly executed
     // instructions against both the analyzer's own divergence guard
     // (`config.fuel` → OutOfFuel) and the caller's per-request budget
@@ -343,8 +347,8 @@ pub(crate) fn drive(
     // Persistent partition buffers: the multi-config merge path reuses
     // these across iterations instead of allocating two fresh vectors
     // per step.
-    let mut group: Vec<Config> = Vec::new();
-    let mut rest: Vec<Config> = Vec::new();
+    let mut group: Vec<Box<Config>> = Vec::new();
+    let mut rest: Vec<Box<Config>> = Vec::new();
 
     while !configs.is_empty() {
         // Pick the configuration with the minimal pc; join any others
@@ -711,11 +715,11 @@ pub(crate) fn drive(
                     parent: current.id,
                     child,
                 });
-                let mut forked = Config {
+                let mut forked = Box::new(Config {
                     id: child,
                     pc: plan.taken,
                     state: current.state.clone(),
-                };
+                });
                 if let Some((r, v)) = plan.refine_taken {
                     forked.state.refine_reg(r, v);
                 }

@@ -83,11 +83,9 @@ impl AccessKind {
 /// One scheduler action relevant to trace bookkeeping, in the exact
 /// order the abstract interpretation performed it.
 ///
-/// `Access` dwarfs the bookkeeping variants (it carries the address set
-/// inline), but it is also the overwhelming majority of the stream —
-/// boxing it to shrink the enum would buy nothing and cost a heap
-/// allocation per access on the hottest path.
-#[allow(clippy::large_enum_variant)]
+/// `Access` carries its address set inline, and a `ValueSet` is one
+/// masked symbol wide, so the enum stays within 64 bytes: the event
+/// buffer moves every event by value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
     /// Configuration `parent` forked; `child` continues on the taken
@@ -416,6 +414,13 @@ impl EventBus for SerialBus {
 mod tests {
     use super::*;
     use leakaudit_core::Observer;
+
+    /// The bus buffers [`CHUNK`] events by value, so an event stays
+    /// within 64 bytes (56 on 64-bit targets, less on narrower ones).
+    #[test]
+    fn trace_event_stays_small() {
+        assert!(std::mem::size_of::<TraceEvent>() <= 64);
+    }
 
     fn consts(vals: &[u64]) -> ValueSet {
         ValueSet::from_constants(vals.iter().copied(), 32)

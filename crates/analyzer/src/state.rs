@@ -451,6 +451,14 @@ mod tests {
     use super::*;
     use leakaudit_x86::Asm;
 
+    /// Registers are copied on every fork and every join, so the state
+    /// stays within 512 bytes (440 on 64-bit targets, less on narrower
+    /// ones).
+    #[test]
+    fn abs_state_stays_small() {
+        assert!(std::mem::size_of::<AbsState>() <= 512);
+    }
+
     fn empty_program() -> Program {
         let mut a = Asm::new(0x1000);
         a.hlt();

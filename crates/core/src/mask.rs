@@ -77,16 +77,6 @@ impl Mask {
         }
     }
 
-    /// The fully-known 1-bit zero mask, usable in `const` contexts
-    /// (padding for inline collections).
-    pub(crate) const fn padding() -> Self {
-        Mask {
-            width: 1,
-            known: 1,
-            value: 0,
-        }
-    }
-
     /// A fully-known mask holding `value` (truncated to `width` bits).
     pub fn constant(value: u64, width: u8) -> Self {
         let m = Mask::top(width);

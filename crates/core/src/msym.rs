@@ -46,16 +46,6 @@ impl MaskedSymbol {
         }
     }
 
-    /// Canonical filler for unused slots in inline collections (the
-    /// 1-bit zero constant). Never observed through any public API: the
-    /// collection's length guards it.
-    pub(crate) const fn constant_padding() -> Self {
-        MaskedSymbol {
-            sym: SymId::CONST,
-            mask: Mask::padding(),
-        }
-    }
-
     /// The fully-known masked symbol denoting `value` at the given width.
     pub fn constant(value: u64, width: u8) -> Self {
         MaskedSymbol {

@@ -8,8 +8,8 @@
 //! Each has a *stuttering* variant that cannot distinguish repeated accesses
 //! to the same unit.
 
-use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 use leakaudit_mpi::Natural;
 
@@ -249,10 +249,12 @@ impl fmt::Debug for Observation {
 /// already applied per the §6.4 implementation notes).
 ///
 /// Singleton sets (the overwhelmingly common label: an access whose unit
-/// is secret-independent) are stored inline; larger sets sit behind an
-/// [`Arc`](std::sync::Arc) so the DAG's label clones are refcount bumps.
-/// Construction canonicalizes — a one-element set is always the inline
-/// variant — so derived equality and ordering remain structural.
+/// is secret-independent) are stored inline; larger sets are a sorted,
+/// deduplicated slice behind an [`Arc`], so the DAG's label clones are
+/// refcount bumps. Construction canonicalizes — a one-element set is
+/// always the inline variant — so derived equality and ordering remain
+/// structural, and a slice compares exactly as the ordered set of its
+/// elements would.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ObsSet {
     repr: ObsRepr,
@@ -262,8 +264,9 @@ pub struct ObsSet {
 enum ObsRepr {
     /// Exactly one possible observation, stored inline.
     One(Observation),
-    /// Zero or several possible observations (canonical: never one).
-    Many(std::sync::Arc<BTreeSet<Observation>>),
+    /// Zero or several possible observations, ascending and
+    /// deduplicated (canonical: never one).
+    Many(Arc<[Observation]>),
     /// Any of `2^bits` observations (projection of an unknown-high value).
     Top { bits: u8 },
 }
@@ -286,12 +289,14 @@ impl ObsSet {
     /// Collects observations, deduplicating (canonicalizes singletons to
     /// the inline variant).
     pub fn from_observations(obs: impl IntoIterator<Item = Observation>) -> Self {
-        let set: BTreeSet<Observation> = obs.into_iter().collect();
-        if set.len() == 1 {
-            return ObsSet::one(*set.iter().next().expect("len checked"));
+        let mut set: Vec<Observation> = obs.into_iter().collect();
+        set.sort_unstable();
+        set.dedup();
+        if let [o] = set[..] {
+            return ObsSet::one(o);
         }
         ObsSet {
-            repr: ObsRepr::Many(std::sync::Arc::new(set)),
+            repr: ObsRepr::Many(set.into()),
         }
     }
 
@@ -353,6 +358,7 @@ mod tests {
     use super::*;
     use crate::mask::{Mask, MaskBit};
     use crate::sym::SymbolTable;
+    use std::collections::BTreeSet;
 
     #[test]
     fn example_1_bit_ranges() {

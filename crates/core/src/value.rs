@@ -15,20 +15,24 @@
 //! read, every binop operand, and every scheduler fork copies one. The
 //! set is therefore stored as a **sorted slice in one of two layouts**:
 //!
-//! * up to [`INLINE_CAP`] elements live inline in the `ValueSet` itself
-//!   (no heap allocation at all — this covers the constant program
-//!   counters and 1–8-element secret sets that dominate real runs up to
-//!   the inline cap), and
-//! * larger sets live behind an [`Arc`], so cloning is a refcount bump
-//!   and mutation is copy-on-write (sets are immutable once built; every
-//!   operation constructs a fresh set through [`SetBuilder`]).
+//! * the empty set and singletons live inline in the `ValueSet` itself
+//!   (no heap allocation at all — this covers known values and low
+//!   values, which §5.1 makes singletons, including every program
+//!   counter), and
+//! * sets of two or more elements — the secret-dependent values — live
+//!   behind an [`Arc`], so cloning is a refcount bump and mutation is
+//!   copy-on-write (sets are immutable once built; every operation
+//!   constructs a fresh set through [`SetBuilder`]).
+//!
+//! A `ValueSet` is thus 40 bytes on 64-bit targets: the worklist, the
+//! event buffer and every register copy move it, so it is kept one
+//! masked symbol wide rather than reserving inline room for several.
 //!
 //! Shared sets additionally carry a unique *token* allocated at
 //! construction. [`ValueSet::memo_key`] exposes it (or, for inline sets,
-//! the elements themselves) as a cheap hashable identity, which the
-//! analyzer's observer sinks use to memoize projections: two clones of
-//! the same set share a token, so a projection is computed once per
-//! distinct (set, observer) pair instead of once per trace event.
+//! the element itself) as a cheap hashable identity, which the
+//! analyzer's interpreter memo keys its entries on: two clones of the
+//! same set share a token.
 //!
 //! Iteration order, equality, widening behavior, and the public
 //! constructors are unchanged from the original `BTreeSet`-backed
@@ -46,13 +50,6 @@ use crate::sym::{SymId, SymbolTable};
 /// Maximum cardinality a value set may reach before widening to `Top`.
 pub const MAX_CARDINALITY: usize = 4096;
 
-/// Number of elements stored inline (without heap allocation).
-const INLINE_CAP: usize = 4;
-
-/// Filler for unused inline slots, kept canonical so inline arrays of
-/// equal sets compare and hash equal (see [`MemoKey`]).
-const PAD: MaskedSymbol = MaskedSymbol::constant_padding();
-
 /// Source of [`SharedSet`] identity tokens.
 static NEXT_TOKEN: AtomicU64 = AtomicU64::new(1);
 
@@ -67,12 +64,11 @@ struct SharedSet {
 
 #[derive(Clone)]
 enum Repr {
-    /// A finite set of at most [`INLINE_CAP`] elements, stored inline.
-    Small {
-        len: u8,
-        items: [MaskedSymbol; INLINE_CAP],
-    },
-    /// A larger finite set, shared by refcount.
+    /// The empty set.
+    Empty,
+    /// A singleton, stored inline.
+    One(MaskedSymbol),
+    /// Two or more elements, shared by refcount.
     Shared(Arc<SharedSet>),
     /// Any value of the given width (possibly secret-dependent).
     Top { width: u8 },
@@ -96,25 +92,22 @@ pub struct ValueSet {
 }
 
 /// A cheap hashable identity of a [`ValueSet`], for memoizing per-set
-/// computations (projection caching in the analyzer's observer sinks).
+/// computations (the analyzer's interpreter memo).
 ///
-/// Two sets with equal keys are guaranteed equal; two *equal* sets may
-/// have different keys (two independently built shared sets get distinct
-/// tokens), which merely costs a duplicate cache entry — never a wrong
-/// hit.
+/// Inline sets key by content: the empty set and singletons. Sets of two
+/// or more elements key by the token of their shared allocation, which
+/// clones share. Two sets with equal keys are guaranteed equal; two
+/// *equal* sets may have different keys (two independently built shared
+/// sets get distinct tokens), which merely costs a duplicate cache entry
+/// — never a wrong hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemoKey {
     /// Identity token of an `Arc`-shared set: clones share it.
     Shared(u64),
     /// A singleton's sole element (the dominant case: program counters).
     One(MaskedSymbol),
-    /// The inline elements themselves (2..=[`INLINE_CAP`] of them).
-    Few {
-        /// Number of live elements.
-        len: u8,
-        /// The elements, padded with a canonical filler.
-        items: [MaskedSymbol; INLINE_CAP],
-    },
+    /// The empty set.
+    Empty,
     /// `Top` of the given width.
     Top(u8),
 }
@@ -144,11 +137,7 @@ impl ValueSet {
 
     /// A singleton set.
     pub fn singleton(m: MaskedSymbol) -> Self {
-        let mut items = [PAD; INLINE_CAP];
-        items[0] = m;
-        ValueSet {
-            repr: Repr::Small { len: 1, items },
-        }
+        ValueSet { repr: Repr::One(m) }
     }
 
     /// A set of known constants (a *high* variable in the sense of §4 when
@@ -175,23 +164,15 @@ impl ValueSet {
     /// Builds a set from an already ascending, deduplicated vector.
     fn from_sorted_vec(items: Vec<MaskedSymbol>) -> Self {
         debug_assert!(items.windows(2).all(|w| w[0] < w[1]), "sorted + dedup");
-        if items.len() <= INLINE_CAP {
-            let mut inline = [PAD; INLINE_CAP];
-            inline[..items.len()].copy_from_slice(&items);
-            ValueSet {
-                repr: Repr::Small {
-                    len: items.len() as u8,
-                    items: inline,
-                },
-            }
-        } else {
-            ValueSet {
-                repr: Repr::Shared(Arc::new(SharedSet {
-                    token: NEXT_TOKEN.fetch_add(1, Ordering::Relaxed),
-                    items,
-                })),
-            }
-        }
+        let repr = match items[..] {
+            [] => Repr::Empty,
+            [m] => Repr::One(m),
+            _ => Repr::Shared(Arc::new(SharedSet {
+                token: NEXT_TOKEN.fetch_add(1, Ordering::Relaxed),
+                items,
+            })),
+        };
+        ValueSet { repr }
     }
 
     /// The unknown-high element.
@@ -209,7 +190,8 @@ impl ValueSet {
     /// The members as a sorted slice (`None` for `Top`).
     pub fn as_slice(&self) -> Option<&[MaskedSymbol]> {
         match &self.repr {
-            Repr::Small { len, items } => Some(&items[..*len as usize]),
+            Repr::Empty => Some(&[]),
+            Repr::One(m) => Some(std::slice::from_ref(m)),
             Repr::Shared(s) => Some(&s.items),
             Repr::Top { .. } => None,
         }
@@ -260,11 +242,8 @@ impl ValueSet {
     /// A cheap hashable identity for memoization (see [`MemoKey`]).
     pub fn memo_key(&self) -> MemoKey {
         match &self.repr {
-            Repr::Small { len: 1, items } => MemoKey::One(items[0]),
-            Repr::Small { len, items } => MemoKey::Few {
-                len: *len,
-                items: *items,
-            },
+            Repr::Empty => MemoKey::Empty,
+            Repr::One(m) => MemoKey::One(*m),
             Repr::Shared(s) => MemoKey::Shared(s.token),
             Repr::Top { width } => MemoKey::Top(*width),
         }
@@ -782,10 +761,26 @@ mod tests {
         );
         // Clones share the memo token.
         assert_eq!(big.memo_key(), big.clone().memo_key());
-        // Inline sets key by content, so equal sets share cache entries.
+        // Singletons key by content, so equal singletons share entries.
+        assert_eq!(
+            ValueSet::constant(7, 32).memo_key(),
+            ValueSet::from_constants([7, 7], 32).memo_key()
+        );
+        // Larger sets key by token: clones share it, separately built
+        // equal sets do not, yet still compare equal.
         let a = ValueSet::from_constants([7, 9], 32);
         let b = ValueSet::from_constants([9, 7], 32);
-        assert_eq!(a.memo_key(), b.memo_key());
+        assert_eq!(a.memo_key(), a.clone().memo_key());
+        assert_ne!(a.memo_key(), b.memo_key());
+        assert_eq!(a, b);
+    }
+
+    /// The worklist, the event buffer and every register copy move a
+    /// `ValueSet` by value, so it stays one masked symbol wide (40 bytes
+    /// on 64-bit targets, less on narrower ones).
+    #[test]
+    fn value_set_is_one_masked_symbol_wide() {
+        assert!(std::mem::size_of::<ValueSet>() <= 40);
     }
 
     #[test]
