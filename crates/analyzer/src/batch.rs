@@ -522,10 +522,6 @@ struct ExecutorShared {
     /// Cumulative interpreter-memo counters (see [`crate::MemoStats`]).
     transfer_hits: AtomicU64,
     transfer_misses: AtomicU64,
-    script_replays: AtomicU64,
-    script_replays_lone: AtomicU64,
-    script_replays_forked: AtomicU64,
-    script_steps: AtomicU64,
 }
 
 impl ExecutorShared {
@@ -543,14 +539,6 @@ impl ExecutorShared {
             .fetch_add(m.transfer_hits, Ordering::Relaxed);
         self.transfer_misses
             .fetch_add(m.transfer_misses, Ordering::Relaxed);
-        self.script_replays
-            .fetch_add(m.script_replays, Ordering::Relaxed);
-        self.script_replays_lone
-            .fetch_add(m.script_replays_lone, Ordering::Relaxed);
-        self.script_replays_forked
-            .fetch_add(m.script_replays_forked, Ordering::Relaxed);
-        self.script_steps
-            .fetch_add(m.script_steps, Ordering::Relaxed);
     }
 }
 
@@ -613,10 +601,6 @@ impl Executor {
             count_ns: AtomicU64::new(0),
             transfer_hits: AtomicU64::new(0),
             transfer_misses: AtomicU64::new(0),
-            script_replays: AtomicU64::new(0),
-            script_replays_lone: AtomicU64::new(0),
-            script_replays_forked: AtomicU64::new(0),
-            script_steps: AtomicU64::new(0),
         });
         let workers = (0..threads)
             .map(|_| {
@@ -666,11 +650,7 @@ impl Executor {
         crate::MemoStats {
             transfer_hits: self.shared.transfer_hits.load(Ordering::Relaxed),
             transfer_misses: self.shared.transfer_misses.load(Ordering::Relaxed),
-            script_replays: self.shared.script_replays.load(Ordering::Relaxed),
-            script_replays_lone: self.shared.script_replays_lone.load(Ordering::Relaxed),
-            script_replays_forked: self.shared.script_replays_forked.load(Ordering::Relaxed),
-            script_steps: self.shared.script_steps.load(Ordering::Relaxed),
-            sink_script_events: 0,
+            ..crate::MemoStats::default()
         }
     }
 

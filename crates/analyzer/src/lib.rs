@@ -248,8 +248,8 @@ pub struct AnalysisConfig {
     pub budget: Budget,
     /// Maximum number of simultaneously live configurations.
     pub max_configs: usize,
-    /// Memoize abstract transfers per pc and replay repeated
-    /// straight-line runs as superblock scripts (see `crate::memo`).
+    /// Memoize abstract transfers per pc (see `crate::memo`): a step
+    /// whose read inputs repeat replays the recorded effect.
     /// Results are bit-identical either way — the memo layer only skips
     /// recomputation, pinned by the `interp_memo_props` suite — so this
     /// is excluded from cache-key identity.

@@ -1,5 +1,4 @@
-//! The interpreter memo: per-pc transfer memos and straight-line
-//! superblock scripts.
+//! The interpreter memo: a per-pc transfer memo.
 //!
 //! PR 7 taught the *observation* side to pay once per distinct input and
 //! replay the rest; this module applies the same discipline to the
@@ -41,43 +40,6 @@
 //!   writes flags, and memory writes re-issue the recorded
 //!   `(addresses, value, size)` calls in order — a weak update joins
 //!   against the current memory exactly as the naive path would.
-//!
-//! # Superblock scripts
-//!
-//! When a straight-line pc run (every transfer memo hitting) repeats,
-//! the per-step probe itself becomes the overhead. A [`ScriptEntry`]
-//! records the whole run — fetch sets, per-step effects — keyed on the
-//! *block live-ins*: the registers, flag bits, provenance, and memory
-//! stamp read before being written inside the block. Replay emits the
-//! recorded events and applies the recorded effects step by step,
-//! advancing the step counter by the block length; the scheduler only
-//! replays a script when the whole block fits under both fuel limits, so
-//! budget exhaustion fires at the same step index as the naive path
-//! (which checks before every step). Scripts are disabled under
-//! wall-clock deadlines: the deadline probe samples the clock at masked
-//! step indices, and skipping those samples could not be bit-pinned.
-//!
-//! ## Scripts under forks
-//!
-//! Recording is *per configuration*: each live [`ConfigId`] carries its
-//! own unbroken hit run, because only a configuration's own steps mutate
-//! its state (the shared symbol table grows monotonically and recorded
-//! transfers never grow it), so interleaved siblings do not perturb the
-//! live-in argument. A merge joins states discontinuously, so every
-//! recording involved in a merge finalizes at the merge pc — the steps
-//! before it still form a valid block ending there.
-//!
-//! Replaying under forks must also preserve the *event order* of the
-//! lowest-pc-first schedule: the naive interpreter would step the
-//! replaying configuration `L` times in a row only if it stays the
-//! unique minimum throughout. Each script therefore records its maximal
-//! interior re-entry pc ([`ScriptEntry::max_interior_pc`]); the
-//! scheduler replays with siblings live only when that pc is strictly
-//! below every other live configuration's pc — equality would have
-//! triggered a §6.4 merge mid-block, and anything above would have let a
-//! sibling step first.
-//!
-//! [`ConfigId`]: crate::sink::ConfigId
 
 use std::sync::Arc;
 
@@ -258,7 +220,7 @@ impl TransferEffect {
 /// Ways per transfer memo. Inner loops cycle a handful of live input
 /// identities per pc (e.g. an induction variable sweeping 0..8), so one
 /// entry per slot would thrash exactly where the memo matters most.
-pub(crate) const WAYS: usize = 8;
+const WAYS: usize = 8;
 
 /// One transfer-memo way: a key seen once (`effect: None` — primed) or
 /// a recorded transfer ready to replay. Recording costs a journaled,
@@ -358,269 +320,6 @@ impl WaySet {
             effect: None,
             replayed: false,
         });
-    }
-}
-
-/// One live-in token of a superblock script, re-evaluated against the
-/// current state on every probe.
-#[derive(Debug, PartialEq)]
-pub(crate) enum PreTok {
-    /// Register (by code) read before written inside the block.
-    Reg(u8, MemoKey),
-    /// Pre-block flag bits consulted before any in-block flag write:
-    /// the consulted mask plus their packed values (canonical order).
-    Flags { mask: u8, packed: u8 },
-    /// Pre-block ZF-provenance identity, pinned when a `je`/`jne` with
-    /// undecided ZF consults it before any in-block flag write.
-    Provenance(Option<(u8, MemoKey, MemoKey)>),
-    /// Pre-block memory-content identity.
-    Stamp(u64),
-}
-
-impl PreTok {
-    fn matches(&self, state: &AbsState) -> bool {
-        match self {
-            PreTok::Reg(code, k) => state.reg(Reg::from_code(*code)).memo_key() == *k,
-            PreTok::Flags { mask, packed } => packed_flags_masked(&state.flags, *mask) == *packed,
-            PreTok::Provenance(source) => match (source, &state.flags.source) {
-                (None, None) => true,
-                (Some((reg, eq, ne)), Some(src)) => {
-                    src.reg.code() == *reg && src.eq.memo_key() == *eq && src.ne.memo_key() == *ne
-                }
-                _ => false,
-            },
-            PreTok::Stamp(s) => state.memory.stamp() == *s,
-        }
-    }
-}
-
-/// One step of a recorded script: the cached fetch set to emit plus the
-/// transfer effect to apply.
-#[derive(Debug)]
-pub(crate) struct ScriptStep {
-    pub fetch: ValueSet,
-    pub effect: Arc<TransferEffect>,
-}
-
-/// A recorded straight-line superblock: live-in tokens, the steps, and
-/// the pc execution resumes at.
-#[derive(Debug)]
-pub(crate) struct ScriptEntry {
-    toks: Vec<PreTok>,
-    pub steps: Vec<ScriptStep>,
-    pub end_pc: u32,
-    /// The highest pc the configuration re-enters scheduling at *inside*
-    /// the block (the pcs of steps 2..L; the final re-entry at `end_pc`
-    /// rejoins the normal loop). With siblings live, replay is only
-    /// order-preserving when this stays strictly below every other
-    /// configuration's pc — see the module docs.
-    pub max_interior_pc: u32,
-}
-
-impl ScriptEntry {
-    fn matches(&self, state: &AbsState) -> bool {
-        self.toks.iter().all(|t| t.matches(state))
-    }
-}
-
-/// The scripts recorded for one start pc, with round-robin replacement.
-#[derive(Debug, Default)]
-pub(crate) struct ScriptSet {
-    entries: Vec<ScriptEntry>,
-    victim: u8,
-}
-
-impl ScriptSet {
-    /// The *longest* entry whose live-ins match the current state — a
-    /// short (e.g. single-step) script recorded at the same pc must not
-    /// shadow a longer block covering the same steps.
-    pub(crate) fn probe(&self, state: &AbsState) -> Option<&ScriptEntry> {
-        self.entries
-            .iter()
-            .filter(|e| e.matches(state))
-            .max_by_key(|e| e.steps.len())
-    }
-
-    pub(crate) fn insert(&mut self, entry: ScriptEntry) {
-        if self.entries.len() < WAYS {
-            self.entries.push(entry);
-        } else {
-            self.entries[self.victim as usize] = entry;
-            self.victim = (self.victim + 1) % WAYS as u8;
-        }
-    }
-}
-
-/// Maximum steps per script. Backstop against unbounded straight-line
-/// recordings (e.g. a long unrolled region); real loop bodies are far
-/// shorter.
-const SCRIPT_CAP: usize = 4096;
-
-/// Minimum steps for a script with register live-ins to be worth
-/// storing: a single register-keyed step replays about as fast through
-/// the per-step memo, but from two steps up the script saves a probe,
-/// a key derivation, and a dispatch per covered step.
-///
-/// Scripts whose live-ins are *register-free* (flag bits, provenance,
-/// or stamp only — e.g. a decided conditional branch) are stored even
-/// at length one: their probe is a couple of integer compares, strictly
-/// cheaper than deriving the transfer-memo key, and single-iteration
-/// loops (a gather pass with unique pointer inputs at every other step)
-/// have no longer run to offer.
-const SCRIPT_MIN: usize = 2;
-
-/// Records a straight-line superblock while its steps hit the transfer
-/// memo, tracking block live-ins (first-read-before-write registers,
-/// consulted flag bits, provenance, and the pre-block memory stamp).
-///
-/// One recorder belongs to one configuration: only that configuration's
-/// steps are observed, so interleaved siblings (which mutate only their
-/// own states) cannot corrupt the live-in bookkeeping.
-#[derive(Debug)]
-pub(crate) struct ScriptRecorder {
-    pub start_pc: u32,
-    pre_stamp: u64,
-    pre_flags: FlagsState,
-    written_regs: u8,
-    flags_written: bool,
-    /// Pre-block flag bits consulted before any in-block flag write.
-    flags_live: u8,
-    /// Pre-block provenance consulted before any in-block flag write.
-    provenance_live: bool,
-    need_stamp: bool,
-    max_interior: u32,
-    reg_toks: Vec<(u8, MemoKey)>,
-    steps: Vec<ScriptStep>,
-}
-
-impl ScriptRecorder {
-    /// Starts recording at `start_pc`; `state` is the pre-block state.
-    pub(crate) fn new(start_pc: u32, state: &AbsState) -> Self {
-        ScriptRecorder {
-            start_pc,
-            pre_stamp: state.memory.stamp(),
-            pre_flags: state.flags.clone(),
-            written_regs: 0,
-            flags_written: false,
-            flags_live: 0,
-            provenance_live: false,
-            need_stamp: false,
-            max_interior: 0,
-            reg_toks: Vec::new(),
-            steps: Vec::new(),
-        }
-    }
-
-    /// `true` once the script reached its length cap (finalize now).
-    pub(crate) fn full(&self) -> bool {
-        self.steps.len() >= SCRIPT_CAP
-    }
-
-    /// Observes one memo-hit step at `pc`: `state` is the *pre-step*
-    /// state, `fetch` the step's fetch set, `effect` its recorded
-    /// transfer. Returns `false` when a live-in identity is unstable —
-    /// the caller must abort the recording.
-    pub(crate) fn observe(
-        &mut self,
-        pc: u32,
-        rw: &RwSets,
-        state: &AbsState,
-        fetch: ValueSet,
-        effect: &Arc<TransferEffect>,
-    ) -> bool {
-        // Every step after the first re-entered scheduling at its pc —
-        // the interior re-entry points the forked replay guard needs.
-        if !self.steps.is_empty() {
-            self.max_interior = self.max_interior.max(pc);
-        }
-        // Registers read before any in-block write still hold their
-        // pre-block values here, so their current identity *is* the
-        // live-in identity.
-        let mut reads = rw.reads & !self.written_regs;
-        while reads != 0 {
-            let code = reads.trailing_zeros() as u8;
-            reads &= reads - 1;
-            if !self.reg_toks.iter().any(|(c, _)| *c == code) {
-                let k = state.reg(Reg::from_code(code)).memo_key();
-                if !k.is_stable() {
-                    return false;
-                }
-                self.reg_toks.push((code, k));
-            }
-        }
-        if !self.flags_written {
-            // No flag write yet, so the consulted bits still hold their
-            // pre-block values. Once a step writes flags, the recorded
-            // post-flag state determines every later flag read (inc/dec
-            // preserve CF, but they also *read* it, so a preserved CF
-            // becomes a live-in before `flags_written` flips).
-            self.flags_live |= rw.flags_read.mask;
-            // Same reasoning for the provenance: consulted only on an
-            // undecided ZF (pre-block ZF here), and in-block `set_reg`
-            // clearing is determined by the pinned pre-block identity
-            // plus the (identically replayed) register writes.
-            if rw.flags_read.provenance && state.flags.zf == AbstractBool::Top {
-                self.provenance_live = true;
-            }
-        }
-        if rw.mem_read {
-            // Even after in-block writes, the read is determined by the
-            // pre-block contents plus the (identically replayed) writes.
-            self.need_stamp = true;
-        }
-        self.written_regs |= rw.writes;
-        self.flags_written |= rw.flags_written;
-        self.steps.push(ScriptStep {
-            fetch,
-            effect: Arc::clone(effect),
-        });
-        true
-    }
-
-    /// Finalizes the recording into a storable script ending at
-    /// `end_pc`, or `None` when too short or a flag live-in is
-    /// unstable.
-    pub(crate) fn finish(self, end_pc: u32) -> Option<ScriptEntry> {
-        let min = if self.reg_toks.is_empty() {
-            1
-        } else {
-            SCRIPT_MIN
-        };
-        if self.steps.len() < min {
-            return None;
-        }
-        let mut toks = Vec::with_capacity(self.reg_toks.len() + 3);
-        for (code, k) in self.reg_toks {
-            toks.push(PreTok::Reg(code, k));
-        }
-        if self.flags_live != 0 {
-            toks.push(PreTok::Flags {
-                mask: self.flags_live,
-                packed: packed_flags_masked(&self.pre_flags, self.flags_live),
-            });
-        }
-        if self.provenance_live {
-            let source = match &self.pre_flags.source {
-                None => None,
-                Some(src) => {
-                    let (eq, ne) = (src.eq.memo_key(), src.ne.memo_key());
-                    if !eq.is_stable() || !ne.is_stable() {
-                        return None;
-                    }
-                    Some((src.reg.code(), eq, ne))
-                }
-            };
-            toks.push(PreTok::Provenance(source));
-        }
-        if self.need_stamp {
-            toks.push(PreTok::Stamp(self.pre_stamp));
-        }
-        Some(ScriptEntry {
-            toks,
-            steps: self.steps,
-            end_pc,
-            max_interior_pc: self.max_interior,
-        })
     }
 }
 

@@ -46,25 +46,16 @@ impl PhaseTimings {
 /// Interpreter-memo counters for one analysis run.
 ///
 /// Instrumentation only, like [`PhaseTimings`]: never part of result
-/// identity, zeroed for cache-decoded reports. `script_steps` counts
-/// abstract steps covered by superblock replays (each also counted in
-/// `transfer_hits`-equivalent work avoided, but *not* in
-/// `transfer_hits` — a scripted step skips the per-step probe
-/// entirely).
+/// identity, zeroed for cache-decoded reports. Every abstract step is
+/// exactly one hit or one miss.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoStats {
     /// Per-pc transfer memo hits (recorded effect replayed).
     pub transfer_hits: u64,
     /// Transfer memo misses and bypasses (naive transfer executed).
     pub transfer_misses: u64,
-    /// Superblock script replays (lone + forked).
-    pub script_replays: u64,
-    /// Script replays taken while a single configuration was live.
-    pub script_replays_lone: u64,
-    /// Script replays taken while fork siblings were live — the
-    /// fork-coverage counter; always ≤ `script_replays`.
-    pub script_replays_forked: u64,
-    /// Abstract steps covered by script replays.
+    /// Always 0: the per-pc transfer memo is the interpreter's only
+    /// memo layer. Kept because the benchmark client names it.
     pub script_steps: u64,
     /// Always 0: every trace event replays through the per-event DAG
     /// update. Kept because the benchmark client names it.
@@ -76,10 +67,6 @@ impl MemoStats {
     pub fn accumulate(&mut self, other: &MemoStats) {
         self.transfer_hits += other.transfer_hits;
         self.transfer_misses += other.transfer_misses;
-        self.script_replays += other.script_replays;
-        self.script_replays_lone += other.script_replays_lone;
-        self.script_replays_forked += other.script_replays_forked;
-        self.script_steps += other.script_steps;
     }
 }
 

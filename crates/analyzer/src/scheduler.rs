@@ -29,16 +29,16 @@
 //! Decoded instructions are memoized in a [`DecodeCache`] shared by
 //! every configuration of the run, so loop bodies and code revisited
 //! after joins decode once instead of once per abstract step. Each
-//! populated slot additionally carries the per-pc *transfer memo* and
-//! any recorded *superblock scripts* of [`crate::memo`]: a step whose
-//! input identities match a recorded entry replays the recorded effect
-//! instead of re-running the abstract transfer, and a straight-line run
-//! whose block live-ins match a recorded script replays the whole block
-//! as one unit. Both layers are bit-identical by construction (see the
-//! [`crate::memo`] module docs for the argument) and can be switched
-//! off wholesale via [`AnalysisConfig::interp_memo`] — the memo-off
-//! path is the naive interpreter, which the property suite pins the
-//! memoized path against.
+//! populated slot additionally carries the per-pc *transfer memo* of
+//! [`crate::memo`]: a step whose input identities match a recorded
+//! entry replays the recorded effect instead of re-running the abstract
+//! transfer. Replay is bit-identical by construction (see the
+//! [`crate::memo`] module docs for the argument), and the memo steps
+//! through the same per-step loop as the naive path, so fuel and
+//! deadline checks fire at the same step indices. It can be switched
+//! off via [`AnalysisConfig::interp_memo`] — the memo-off path is the
+//! naive interpreter, which the property suite pins the memoized path
+//! against.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -47,7 +47,7 @@ use leakaudit_core::ValueSet;
 use leakaudit_x86::{Inst, Program};
 
 use crate::exec::{execute_decoded, execute_logged, rw_sets, EffectLog, Next, RwSets};
-use crate::memo::{self, ScriptRecorder, ScriptSet, TransferEffect, WayProbe, WaySet};
+use crate::memo::{self, TransferEffect, WayProbe, WaySet};
 use crate::report::MemoStats;
 use crate::sink::{AccessKind, ConfigId, EventBus, TraceEvent};
 use crate::state::InitState;
@@ -76,14 +76,13 @@ struct Config {
 /// Everything the run knows about one decoded instruction start: the
 /// decoded instruction, its cached fetch set (the same
 /// `ValueSet::constant(pc)` every visit would otherwise rebuild), its
-/// read/write footprint, the direct-mapped transfer memo, and any
-/// superblock scripts starting here.
+/// read/write footprint, and its transfer memo (a fully associative
+/// [`WaySet`] with cold-victim eviction).
 pub(crate) struct Slot {
     decoded: (Inst, u32),
     fetch: ValueSet,
     rw: RwSets,
     ways: WaySet,
-    scripts: Option<Box<ScriptSet>>,
     /// Consecutive keyed misses with no hit. Once it reaches
     /// [`COLD_CAP`] the slot stops deriving keys: a pc whose inputs
     /// never recur (counter-driven steps, once-through code) pays the
@@ -101,8 +100,8 @@ pub(crate) struct Slot {
     cold: u8,
 }
 
-/// Keyed misses in a row before a slot's memo is switched off for the
-/// missing configuration.
+/// Keyed misses in a row before a slot stops deriving keys (except for
+/// its periodic retry). Per slot, shared by every configuration.
 const COLD_CAP: u8 = 12;
 
 impl Slot {
@@ -112,7 +111,6 @@ impl Slot {
             rw: rw_sets(&decoded.0),
             decoded,
             ways: WaySet::default(),
-            scripts: None,
             cold: 0,
         }
     }
@@ -178,9 +176,9 @@ impl DecodeCache {
     }
 
     /// `locate`, also updating the hot-segment hint. The step loop's
-    /// single resolution point: everything downstream (script probe,
-    /// fetch event, decode, memo probe, memo store) indexes directly
-    /// via the returned `(segment, offset)`.
+    /// single resolution point: everything downstream (fetch event,
+    /// decode, memo probe, memo store) indexes directly via the
+    /// returned `(segment, offset)`.
     fn locate_hot(&mut self, pc: u32) -> Option<(usize, usize)> {
         let loc = self.locate(pc);
         if let Some((seg, _)) = loc {
@@ -209,6 +207,7 @@ impl DecodeCache {
     /// The already-populated slot for `pc`, if any — never decodes, so
     /// probing here cannot reorder a decode error ahead of the fetch
     /// event.
+    #[cfg(test)]
     fn existing_slot(&mut self, pc: u32) -> Option<&mut Slot> {
         let (seg, off) = self.locate_hot(pc)?;
         self.segments[seg].1[off].as_deref_mut()
@@ -229,74 +228,6 @@ impl DecodeCache {
         match self.slot_at(program, pc)? {
             Some(slot) => Ok(slot.decoded),
             None => Ok(program.decode_at(pc)?),
-        }
-    }
-
-    /// Stores a finalized script under its start pc.
-    fn store_script(&mut self, start_pc: u32, entry: memo::ScriptEntry) {
-        if let Some(slot) = self.existing_slot(start_pc) {
-            slot.scripts.get_or_insert_with(Box::default).insert(entry);
-        }
-    }
-}
-
-/// Most simultaneously-active script recordings. Purely a cost
-/// throttle: replay equivalence does not depend on which runs are
-/// recorded, and fork trees deep enough to exceed this keep their
-/// hottest recordings (the ones started first) alive.
-const RECORDER_CAP: usize = 8;
-
-/// The active script recordings, one per live configuration (PR 8 kept
-/// a single recorder and required a lone configuration; per-config
-/// recorders are what lets fork siblings record and replay each other's
-/// straight-line blocks). A handful of entries at most, so lookups are
-/// linear scans.
-#[derive(Default)]
-struct Recorders {
-    active: Vec<(ConfigId, ScriptRecorder)>,
-}
-
-impl Recorders {
-    fn get(&self, id: ConfigId) -> Option<&ScriptRecorder> {
-        self.active.iter().find(|(i, _)| *i == id).map(|(_, r)| r)
-    }
-
-    /// `true` when `id` may observe steps: it already records, or a
-    /// recorder slot is free.
-    fn may_record(&self, id: ConfigId) -> bool {
-        self.active.len() < RECORDER_CAP || self.get(id).is_some()
-    }
-
-    /// The recorder for `id`, started at `pc` if absent (the caller
-    /// checked `may_record`).
-    fn entry(
-        &mut self,
-        id: ConfigId,
-        pc: u32,
-        state: &crate::state::AbsState,
-    ) -> &mut ScriptRecorder {
-        if let Some(i) = self.active.iter().position(|(i, _)| *i == id) {
-            return &mut self.active[i].1;
-        }
-        self.active.push((id, ScriptRecorder::new(pc, state)));
-        &mut self.active.last_mut().expect("just pushed").1
-    }
-
-    /// Drops `id`'s recording without storing it (a live-in went
-    /// unstable, or control left the straight line without a pc).
-    fn drop_id(&mut self, id: ConfigId) {
-        self.active.retain(|(i, _)| *i != id);
-    }
-
-    /// Finalizes `id`'s recording (if any) as ending at `end_pc`,
-    /// storing it when long enough to be worth replaying.
-    fn finalize(&mut self, id: ConfigId, decode: &mut DecodeCache, end_pc: u32) {
-        if let Some(i) = self.active.iter().position(|(i, _)| *i == id) {
-            let (_, rec) = self.active.swap_remove(i);
-            let start = rec.start_pc;
-            if let Some(entry) = rec.finish(end_pc) {
-                decode.store_script(start, entry);
-            }
         }
     }
 }
@@ -333,13 +264,6 @@ pub(crate) fn drive(
         .deadline_ms
         .map(|ms| Instant::now() + Duration::from_millis(ms));
     let memo_on = config.interp_memo;
-    // Scripts skip the per-step loop, so they are disabled under a
-    // wall-clock deadline: the deadline probe samples the clock at
-    // masked step indices and those samples cannot be bit-pinned away.
-    // The per-step transfer memo leaves the loop structure (and thus
-    // every deadline sample) intact, so it stays on.
-    let scripts_on = memo_on && deadline.is_none();
-    let mut recorders = Recorders::default();
     // Per-run key scratch: `key_for` fills this in place every keyed
     // step, so the loop never allocates or copies token arrays; an
     // owned clone is taken only when priming a way.
@@ -383,15 +307,7 @@ pub(crate) fn drive(
                 "merge group must preserve arrival order"
             );
             let mut current = group.pop().unwrap();
-            if !group.is_empty() {
-                // A merge joins states discontinuously: every involved
-                // recording ends here. The steps recorded *before* the
-                // merge still form a valid straight-line block ending at
-                // this pc, so they finalize rather than abort.
-                recorders.finalize(current.id, &mut decode, min_pc);
-            }
             for other in group.drain(..) {
-                recorders.finalize(other.id, &mut decode, min_pc);
                 current.state = current.state.join(&other.state);
                 bus.emit(TraceEvent::Merge {
                     into: current.id,
@@ -400,7 +316,6 @@ pub(crate) fn drive(
             }
             current
         };
-        let lone = configs.is_empty();
 
         if steps >= config.fuel {
             return Err(AnalysisError::OutOfFuel { fuel: config.fuel });
@@ -422,72 +337,12 @@ pub(crate) fn drive(
             }
         }
 
-        // One location resolution per step: the script probe, the
-        // fetch event, the decode, the memo probe, and the memo store
-        // all share it, so the segment scan runs once per step instead
-        // of once per concern.
+        // One location resolution per step: the fetch event, the
+        // decode, the memo probe, and the memo store all share it, so
+        // the segment scan runs once per step instead of once per
+        // concern.
         let pc = current.pc;
         let loc = decode.locate_hot(pc);
-
-        // Superblock replay: a recorded straight-line run whose block
-        // live-ins match the current state replays as one unit.
-        if scripts_on && recorders.get(current.id).is_none() {
-            if let Some((seg, off)) = loc {
-                if let Some(slot) = decode.segments[seg].1[off].as_deref() {
-                    if let Some(entry) = slot.scripts.as_ref().and_then(|s| s.probe(&current.state))
-                    {
-                        let l = entry.steps.len() as u64;
-                        // With siblings live, replay must also preserve
-                        // the lowest-pc-first event order: the naive
-                        // loop would step this configuration `l` times
-                        // in a row only if it stays the strict minimum
-                        // throughout — an interior re-entry pc equal to
-                        // a sibling's pc would have merged mid-block,
-                        // and one above would have let the sibling step
-                        // first.
-                        let order_ok = lone || configs.iter().all(|c| entry.max_interior_pc < c.pc);
-                        // Replay only when every scripted step clears both
-                        // fuel limits: the naive loop checks before each
-                        // step, so `steps + l` within the limit means all
-                        // `l` per-step checks would have passed. Otherwise
-                        // fall through and let the per-step path trip the
-                        // error at the exact same step index as the naive
-                        // interpreter.
-                        if order_ok
-                            && steps + l <= config.fuel
-                            && config.budget.fuel.is_none_or(|bf| steps + l <= bf)
-                        {
-                            for step in &entry.steps {
-                                bus.emit(TraceEvent::access(
-                                    current.id,
-                                    AccessKind::Fetch,
-                                    step.fetch.clone(),
-                                ));
-                                step.effect.apply(&mut table, &mut current.state);
-                                for a in &step.effect.accesses {
-                                    bus.emit(TraceEvent::access(
-                                        current.id,
-                                        AccessKind::Data,
-                                        a.clone(),
-                                    ));
-                                }
-                            }
-                            steps += l;
-                            stats.script_replays += 1;
-                            stats.script_steps += l;
-                            if lone {
-                                stats.script_replays_lone += 1;
-                            } else {
-                                stats.script_replays_forked += 1;
-                            }
-                            current.pc = entry.end_pc;
-                            configs.push(current);
-                            continue;
-                        }
-                    }
-                }
-            }
-        }
 
         steps += 1;
 
@@ -549,9 +404,7 @@ pub(crate) fn drive(
                         }
                     }
                 }
-                let recording = scripts_on && recorders.may_record(current.id);
-                let rec_fetch = (recording && hit.is_some()).then(|| slot.fetch.clone());
-                Some((inst, len, rw, hit, primed, vacant, rec_fetch))
+                Some((inst, len, rw, hit, primed, vacant))
             }
             None => {
                 // Outside every segment: fresh fetch set, uncached
@@ -566,34 +419,18 @@ pub(crate) fn drive(
         };
 
         let (next, len) = match resolved {
-            Some((_inst, len, rw, Some(effect), _primed, _vacant, rec_fetch)) => {
+            Some((_inst, len, _rw, Some(effect), _primed, _vacant)) => {
                 // Transfer memo hit: replay the recorded effect.
                 stats.transfer_hits += 1;
-                if let Some(fetch) = rec_fetch {
-                    match &effect.next {
-                        Next::Fall | Next::Jump(_) => {
-                            let rec = recorders.entry(current.id, pc, &current.state);
-                            if !rec.observe(pc, &rw, &current.state, fetch, &effect) {
-                                recorders.drop_id(current.id);
-                            }
-                        }
-                        // A fork or halt ends the straight-line run
-                        // *before* this step.
-                        _ => recorders.finalize(current.id, &mut decode, pc),
-                    }
-                }
                 effect.apply(&mut table, &mut current.state);
                 for a in &effect.accesses {
                     bus.emit(TraceEvent::access(current.id, AccessKind::Data, a.clone()));
                 }
                 (effect.next.clone(), len)
             }
-            Some((inst, len, rw, None, primed, vacant, _)) => {
-                // Miss or bypass: run the real transfer. A script needs
-                // an unbroken run of memo hits, so any recording ends
-                // here (excluding this step).
+            Some((inst, len, rw, None, primed, vacant)) => {
+                // Miss or bypass: run the real transfer.
                 stats.transfer_misses += 1;
-                recorders.finalize(current.id, &mut decode, pc);
                 let effect = if let Some(way) = primed {
                     // Second miss on the same key: journal symbol-table
                     // mutations and log memory writes so the effect can
@@ -669,7 +506,6 @@ pub(crate) fn drive(
             None => {
                 // Outside every segment: the fully uncached naive path.
                 stats.transfer_misses += 1;
-                recorders.finalize(current.id, &mut decode, pc);
                 let (inst, len) = program.decode_at(pc)?;
                 let effect =
                     execute_decoded(&mut table, &mut current.state, program, pc, inst, len)?;
@@ -679,25 +515,6 @@ pub(crate) fn drive(
                 (effect.next, len)
             }
         };
-
-        // Close out a recording that looped back to its start (the
-        // back-edge case — a whole loop body becomes one script) or hit
-        // its length cap.
-        if let Some(rec) = recorders.get(current.id) {
-            let new_pc = match &next {
-                Next::Fall => Some(pc.wrapping_add(len)),
-                Next::Jump(t) => Some(*t),
-                _ => None,
-            };
-            match new_pc {
-                Some(np) => {
-                    if np == rec.start_pc || rec.full() {
-                        recorders.finalize(current.id, &mut decode, np);
-                    }
-                }
-                None => recorders.drop_id(current.id),
-            }
-        }
 
         match next {
             Next::Fall => {

@@ -1,12 +1,11 @@
 //! Property tests pinning the memoized interpreter bit-identical to the
 //! naive, memo-free abstract interpreter.
 //!
-//! The scheduler layers two caches over abstract interpretation (see
+//! The scheduler layers one cache over abstract interpretation (see
 //! `leakaudit_analyzer::memo`): the per-pc transfer memo, which replays
 //! a recorded `StepEffect` when an instruction's read footprint carries
-//! the same input identities as a previous visit, and superblock
-//! scripts, which replay whole straight-line runs as one unit. Neither
-//! may change a single bit of the observable behavior: the trace-event
+//! the same input identities as a previous visit. It may not change a
+//! single bit of the observable behavior: the trace-event
 //! stream (every fetch, data access, fork, merge, and retirement, in
 //! order), the final report rows, and — crucially — the *step index* at
 //! which a fuel or budget limit trips. The reference implementation is
@@ -14,8 +13,8 @@
 //! executes every abstract transfer naively.
 //!
 //! Programs are generated randomly from structured pieces — counted
-//! loops (whose repeated bodies are the memo's hot path and, when their
-//! inputs stabilize, record superblock scripts), fork/join diamonds on
+//! loops (whose repeated bodies are the memo's hot path once their
+//! inputs stabilize), fork/join diamonds on
 //! undecidable flags (whose sibling configurations revisit the same pcs
 //! with near-identical states), SIB loads off a data table,
 //! stores/pushes/pops (which churn the memory stamp), subroutine
@@ -270,8 +269,7 @@ enum Piece {
     /// `mov ecx, 0; L: body; inc ecx; cmp ecx, count; jne L` — the
     /// counter is concrete, so the loop unrolls and terminates. Bodies
     /// that re-establish their inputs (`MovImm`-seeded) hit the
-    /// transfer memo from the second iteration on and record superblock
-    /// scripts.
+    /// transfer memo from the third iteration on (the second records).
     Loop {
         count: u8,
         body: Vec<Op>,
@@ -380,7 +378,7 @@ fn assemble(pieces: &[Piece], far_split: Option<u8>) -> leakaudit_x86::Program {
 /// behind a conditional branch whose flags come from comparing a (often
 /// secret-seeded) register — an undecided condition forks, parking the
 /// taken configuration at the skip label *after* the loop while the
-/// fall-through configuration records and replays scripts inside it,
+/// fall-through configuration records and replays transfers inside it,
 /// with the sibling live the whole time. Blocks merge at their skip
 /// labels, so configuration counts stay bounded across blocks.
 fn assemble_fork_dense(blocks: &[(u8, u8, u32, Vec<Op>, u8)]) -> leakaudit_x86::Program {
@@ -574,27 +572,20 @@ proptest! {
         prop_assert_eq!(memo_events, naive_events);
         if let (Ok(m), Ok(n)) = (&memo_out, &naive_out) {
             prop_assert_eq!(n.transfer_hits + n.script_steps, 0, "naive runs never memo");
-            // Every abstract step is a miss, a hit, or scripted — the
-            // naive run's misses count the total.
+            // Every abstract step is a miss or a hit — the naive run's
+            // misses count the total.
             prop_assert_eq!(
                 m.transfer_hits + m.transfer_misses + m.script_steps,
                 n.transfer_misses
             );
-            // Every script replay is taken either lone or with fork
-            // siblings live — the split partitions the total.
-            prop_assert_eq!(
-                m.script_replays_lone + m.script_replays_forked,
-                m.script_replays
-            );
         }
     }
 
-    /// Fork-dense programs: every block guards a scripted loop behind a
+    /// Fork-dense programs: every block guards a counted loop behind a
     /// secret-dependent branch, so undecided conditions fork before (and
-    /// while) loops record and replay scripts, and sibling
-    /// configurations wait at the skip label ahead. Event streams,
-    /// outcomes, and the lone/forked replay partition must all match
-    /// the naive interpreter.
+    /// while) loops record and replay transfers, and sibling
+    /// configurations wait at the skip label ahead. Event streams and
+    /// outcomes must match the naive interpreter.
     #[test]
     fn fork_dense_programs_match_naive(
         blocks in proptest::collection::vec(
@@ -609,19 +600,13 @@ proptest! {
         };
         let (naive_events, naive_out) = interpret(&config(false, None), &input);
         let (memo_events, memo_out) = interpret(&config(true, None), &input);
-        prop_assert_eq!(memo_out.as_ref().err(), naive_out.as_ref().err());
+        prop_assert_eq!(memo_out.err(), naive_out.err());
         prop_assert_eq!(memo_events, naive_events);
-        if let Ok(m) = &memo_out {
-            prop_assert_eq!(
-                m.script_replays_lone + m.script_replays_forked,
-                m.script_replays
-            );
-        }
     }
 
     /// Budget truncation on fork-dense programs: the boundary must trip
-    /// at the identical step index even when it lands inside a script
-    /// replayed with fork siblings live.
+    /// at the identical step index even when it lands inside a loop
+    /// replayed from the memo with fork siblings live.
     #[test]
     fn fork_dense_budgets_trip_identically(
         blocks in proptest::collection::vec(
@@ -667,8 +652,7 @@ proptest! {
     }
 
     /// Budget exhaustion fires at the same step index with the memo on,
-    /// even when the boundary lands inside a recorded superblock (the
-    /// scheduler must fall back to per-step execution there).
+    /// even when the boundary lands on a step the memo would replay.
     #[test]
     fn budget_trips_at_identical_step_counts(
         pieces in proptest::collection::vec(piece(), 1..6),
@@ -709,20 +693,19 @@ proptest! {
 }
 
 /// A fixed program whose loop bodies re-establish their inputs every
-/// iteration: the transfer memo hits from the second iteration on and a
-/// superblock script records and replays — `interp_memo_props` exercises
-/// the script fast path deterministically here, not just when the
-/// generator happens to produce one.
+/// iteration, so the body's transfers replay from the memo on every
+/// later iteration — `interp_memo_props` exercises the replay path
+/// deterministically here, not just when the generator happens to
+/// produce one.
 fn scripted_loop_input() -> AnalysisInput {
     let mut a = Asm::new(0x1000);
     // Outer work before the loop.
     a.mov(Reg::Eax, 5u32);
     a.mov(Reg::Ecx, 0u32);
     a.label("loop");
-    // Body: every input is re-seeded, so iterations 2+ hit the memo and
-    // the straight-line run records as a script (the `inc`/`cmp` pair
-    // reads the changing counter and always misses, bounding the
-    // block).
+    // Body: every input is re-seeded, so later iterations hit the memo
+    // (the `inc`/`cmp` pair reads the changing counter and always
+    // misses).
     a.mov(Reg::Eax, 3u32);
     a.mov(Reg::Ebx, Mem::sib(Reg::Ebp, Reg::Esi, 4, 0));
     a.add(Reg::Eax, Reg::Ebx);
@@ -746,9 +729,8 @@ fn scripted_loop_input() -> AnalysisInput {
 /// Exhaustive fuel-starvation sweep on the scripted loop: for *every*
 /// budget value up to past the program's full length, the memoized run
 /// trips (or completes) exactly like the naive run, with the identical
-/// event prefix. This pins the script-replay fuel precheck: a boundary
-/// inside a recorded block must fall back to per-step execution and
-/// error at the exact step index.
+/// event prefix: a boundary on a replayed step must error at the exact
+/// step index.
 #[test]
 fn every_budget_boundary_is_exact_on_the_scripted_loop() {
     let input = scripted_loop_input();
@@ -765,20 +747,16 @@ fn every_budget_boundary_is_exact_on_the_scripted_loop() {
             )
         })
         .count() as u64;
-    assert!(total > 100, "the loop runs long enough to cross scripts");
+    assert!(total > 100, "the loop runs long enough to replay");
     let stats = naive_out.expect("scripted loop converges");
     assert_eq!(stats.transfer_hits + stats.script_steps, 0);
 
-    // The unlimited memoized run must actually exercise the script
-    // path, otherwise the boundary sweep below proves nothing.
+    // The unlimited memoized run must actually replay, otherwise the
+    // boundary sweep below proves nothing.
     let (memo_events, memo_out) = interpret(&config(true, None), &input);
     assert_eq!(memo_events, naive_events);
     let stats = memo_out.expect("memoized run converges");
     assert!(stats.transfer_hits > 0, "loop body must hit the memo");
-    assert!(
-        stats.script_replays > 0,
-        "loop body must replay as a script"
-    );
 
     for budget in 1..=total + 1 {
         let (naive_events, naive_out) = interpret(&config(false, Some(budget)), &input);
@@ -802,20 +780,20 @@ fn every_budget_boundary_is_exact_on_the_scripted_loop() {
     }
 }
 
-/// A fixed program where script replays happen *with a fork sibling
+/// A fixed program where transfer-memo hits happen *with a fork sibling
 /// live*: a secret-dependent `je` forks, the taken configuration parks
 /// at `done` (past the loop), and the fall-through configuration runs a
-/// script-friendly loop whose every pc sits below `done` — so the
-/// forked-replay order guard passes and the replays count as forked.
+/// loop whose every pc sits below `done`, so the sibling waits there
+/// until the loop exits.
 #[test]
-fn forked_script_replays_are_counted_and_bit_identical() {
+fn forked_transfer_hits_are_bit_identical() {
     let mut a = Asm::new(0x1000);
     a.cmp(Reg::Esi, 3u32); // esi is a secret set: ZF undecided, forks.
     a.jcc_near(Cond::E, "done");
     a.mov(Reg::Ecx, 0u32);
     a.label("loop");
-    // The body re-establishes its inputs each iteration, so iterations
-    // 2+ hit the transfer memo and the run records as a script.
+    // The body re-establishes its inputs each iteration, so later
+    // iterations hit the transfer memo.
     a.mov(Reg::Eax, 3u32);
     a.mov(Reg::Ebx, Mem::sib(Reg::Ebp, Reg::Edi, 4, 0));
     a.add(Reg::Eax, Reg::Ebx);
@@ -841,15 +819,13 @@ fn forked_script_replays_are_counted_and_bit_identical() {
     assert_eq!(memo_events, naive_events, "events must not depend on memo");
     naive_out.expect("naive run converges");
     let stats = memo_out.expect("memoized run converges");
+    // Before the fork only `cmp`/`je` run, and after the merge at `done`
+    // only `hlt`, each once: every hit is a loop step taken while the
+    // sibling waits.
     assert!(
-        stats.script_replays_forked > 0,
-        "the loop must replay scripts while the forked sibling waits at \
+        stats.transfer_hits > 0,
+        "the loop must hit the memo while the forked sibling waits at \
          `done`: {stats:?}"
-    );
-    assert_eq!(
-        stats.script_replays_lone + stats.script_replays_forked,
-        stats.script_replays,
-        "the lone/forked split partitions the replay total"
     );
 
     let naive = Analysis::new(config(false, None)).run(&input).unwrap();
@@ -873,4 +849,28 @@ fn config_fuel_boundaries_are_exact_on_the_scripted_loop() {
         assert_eq!(memo_out.err(), naive_out.err(), "fuel {fuel}");
         assert_eq!(memo_events, naive_events, "fuel {fuel}");
     }
+}
+
+/// A wall-clock deadline does not change what the memo does: with a
+/// deadline far beyond the run, the memoized interpreter emits the same
+/// events, takes the same memo hits and misses, and reports the same
+/// rows as an unbudgeted run.
+#[test]
+fn a_deadline_keeps_the_memo_on() {
+    let input = scripted_loop_input();
+    let with_deadline = AnalysisConfig {
+        budget: Budget::with_deadline_ms(600_000),
+        ..config(true, None)
+    };
+    let (plain_events, plain_out) = interpret(&config(true, None), &input);
+    let (deadline_events, deadline_out) = interpret(&with_deadline, &input);
+    assert_eq!(deadline_events, plain_events);
+    let plain = plain_out.expect("unbudgeted run converges");
+    let deadline = deadline_out.expect("a generous deadline never trips");
+    assert!(plain.transfer_hits > 0, "loop body must hit the memo");
+    assert_eq!(deadline, plain, "the memo runs the same under a deadline");
+
+    let plain = Analysis::new(config(true, None)).run(&input).unwrap();
+    let deadline = Analysis::new(with_deadline).run(&input).unwrap();
+    assert_eq!(deadline.rows(), plain.rows());
 }

@@ -13,20 +13,24 @@
 //!           [--out FILE] [--baseline FILE]
 //! ```
 //!
-//! * `--quick`: 1 iteration, no warmup, print to stdout only (CI mode —
-//!   proves the harness runs, commits nothing).
+//! * `--quick`: 1 iteration, no warmup (CI mode — proves the harness
+//!   runs).
 //! * `--ab`: interleaved memo A/B — each scenario is timed with the
 //!   interpreter memo on and off in strict alternation within the same
 //!   process, so the on/off ratio is a same-boot paired control (the
 //!   ROADMAP machine-shift caveat as a flag, not a hand-run ritual).
 //!   Results print per scenario and land in `ab_memo_ms` when a JSON
 //!   report is written.
-//! * `--out FILE`: write the JSON report (default `BENCH_10.json`).
+//! * `--out FILE`: write the JSON report. Without it nothing is
+//!   written, so a plain run never overwrites a committed record.
 //! * `--baseline FILE`: embed a previous perfbench report as the
 //!   `baseline` field and compute `speedup_vs_baseline`.
 //!
-//! JSON schema (`leakaudit-perfbench/v10` — v9 without the sink-side
-//! script-memo counters (the four `sink_script_*` fields), whose replay
+//! JSON schema (`leakaudit-perfbench/v11` — v10 without the
+//! superblock-script counters (`script_replays`, `script_replays_lone`,
+//! `script_replays_forked`, `script_steps`) inside every `interp_memo`
+//! object, whose layer is gone; that is its only change. Inherited from
+//! v10: v9 without the sink-side script-memo counters (the four `sink_script_*` fields), whose replay
 //! layer is gone, and with `scenario_phases_ms` taken as
 //! per-phase medians over the timed iterations — the same iterations
 //! as `scenarios_ms` — where v9 reported the last timed iteration.
@@ -34,13 +38,12 @@
 //! combined replay-phase ratio over the heavy cells (every
 //! `secure-retrieve`, `scatter-gather` and `defensive-gather`
 //! scenario). Inherited from v8: per-scenario interpreter-memo counter
-//! splits (`scenario_interp_memo`: name → hit/miss/replay counters for one
-//! analysis of that scenario, where v7 had only run totals), the
-//! lone/forked script-replay split inside every `interp_memo` object,
-//! and the optional `ab_memo_ms` section (name → `{on, off}` median
+//! splits (`scenario_interp_memo`: name → hit/miss counters for one
+//! analysis of that scenario, where v7 had only run totals) and the
+//! optional `ab_memo_ms` section (name → `{on, off}` median
 //! ms) when `--ab` is given. Inherited from v7: the interpreter-memo
-//! run totals (`interp_memo`: cumulative transfer-memo hit/miss and
-//! superblock-script counters over one analysis of every scenario) and,
+//! run totals (`interp_memo`: cumulative transfer-memo hit/miss
+//! counters over one analysis of every scenario) and,
 //! when a v6+ baseline is given, `phase_speedup_vs_baseline` — the
 //! per-scenario interpret/replay/count phase ratios, extracted *scoped*
 //! to each scenario's own object inside the baseline's
@@ -100,7 +103,7 @@ fn parse_args() -> Args {
         iters: 7,
         warmup: 2,
         label: String::from("perfbench"),
-        out: Some(String::from("BENCH_10.json")),
+        out: None,
         baseline: None,
         ab: false,
     };
@@ -114,7 +117,6 @@ fn parse_args() -> Args {
             "--quick" => {
                 args.iters = 1;
                 args.warmup = 0;
-                args.out = None;
             }
             "--ab" => args.ab = true,
             "--iters" => args.iters = value_of("--iters").parse().expect("--iters: integer"),
@@ -307,13 +309,8 @@ fn main() {
             phase_ms(phases.count),
         );
         println!(
-            "      memo: {} hits / {} misses | {} replays ({} lone + {} forked) over {} steps",
-            memo.transfer_hits,
-            memo.transfer_misses,
-            memo.script_replays,
-            memo.script_replays_lone,
-            memo.script_replays_forked,
-            memo.script_steps,
+            "      memo: {} hits / {} misses",
+            memo.transfer_hits, memo.transfer_misses,
         );
         scenario_ms.push((s.name.as_str(), ms));
         scenario_phases.push((s.name.as_str(), phases));
@@ -322,14 +319,8 @@ fn main() {
     }
     let total_sequential: f64 = scenario_ms.iter().map(|(_, ms)| ms).sum();
     println!(
-        "  interp memo: {} transfer hits / {} misses, {} script replays \
-         ({} lone + {} forked) covering {} steps",
-        memo_totals.transfer_hits,
-        memo_totals.transfer_misses,
-        memo_totals.script_replays,
-        memo_totals.script_replays_lone,
-        memo_totals.script_replays_forked,
-        memo_totals.script_steps,
+        "  interp memo: {} transfer hits / {} misses",
+        memo_totals.transfer_hits, memo_totals.transfer_misses,
     );
 
     // Interleaved memo A/B: on and off alternate within the same loop,
@@ -557,12 +548,12 @@ fn main() {
     }
 
     let Some(out_path) = &args.out else {
-        println!("(--quick: no JSON written)");
+        println!("(no --out: no JSON written)");
         return;
     };
 
     let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"schema\": \"leakaudit-perfbench/v10\",");
+    let _ = writeln!(json, "  \"schema\": \"leakaudit-perfbench/v11\",");
     let _ = writeln!(json, "  \"label\": \"{}\",", json_escape(&args.label));
     let _ = writeln!(json, "  \"iters\": {},", args.iters);
     let _ = writeln!(json, "  \"warmup\": {},", args.warmup);
@@ -592,15 +583,8 @@ fn main() {
     let _ = writeln!(json, "  }},");
     let memo_obj = |m: &MemoStats| {
         format!(
-            "{{\"transfer_hits\": {}, \"transfer_misses\": {}, \
-             \"script_replays\": {}, \"script_replays_lone\": {}, \
-             \"script_replays_forked\": {}, \"script_steps\": {}}}",
-            m.transfer_hits,
-            m.transfer_misses,
-            m.script_replays,
-            m.script_replays_lone,
-            m.script_replays_forked,
-            m.script_steps,
+            "{{\"transfer_hits\": {}, \"transfer_misses\": {}}}",
+            m.transfer_hits, m.transfer_misses,
         )
     };
     let _ = writeln!(json, "  \"scenario_interp_memo\": {{");

@@ -36,13 +36,12 @@ const GUARD: u32 = 0x4_f000;
 ///     acc := acc ^ v
 /// ```
 ///
-/// The guard reload is the loop's memoizable kernel: its only live-in
-/// is the memory stamp (no registers, no flags), so it scripts at
-/// length one and replays on every trip — including trips taken while
-/// a matched sibling is parked in the cold section. The table load
-/// right after it reads through `ebx`, whose value is fresh each
-/// trip, so the script never grows past the guard: the family pins
-/// down the shortest multi-event script the interpreter replays.
+/// The guard reload is the loop's memoizable kernel: its only input is
+/// the memory stamp (no registers, no flags), so its transfer replays
+/// from the interpreter memo on every trip — including trips taken
+/// while a matched sibling is parked in the cold section. The table
+/// load right after it reads through `ebx`, whose value is fresh each
+/// trip, so it always misses.
 ///
 /// `ecx` holds the secret index `k ∈ {0..entries-1}`; `ebx` holds the
 /// dynamically allocated table `p` of `rounds` 32-bit words; the guard
@@ -54,9 +53,9 @@ const GUARD: u32 = 0x4_f000;
 ///
 /// The matched body is laid out *cold*, after the loop — the compiler
 /// idiom for an unlikely path. The layout is load-bearing for the
-/// memo layers: the hot not-matched superblock then sits entirely
-/// below the address where the matched sibling parks, which is the
-/// precondition for replaying its script while forked.
+/// memo: the hot not-matched path then sits entirely below the address
+/// where the matched sibling parks, so the lowest-pc-first scheduler
+/// keeps stepping (and replaying) the loop while the sibling waits.
 ///
 /// # Panics
 ///
@@ -150,17 +149,22 @@ mod tests {
     }
 
     #[test]
-    fn fork_dense_loop_replays_scripts_forked() {
+    fn fork_dense_loop_hits_the_transfer_memo() {
         // The registry's purpose for this family: every candidate
         // iteration forks, and the loop's guard-reload kernel must
-        // still be scripted and replayed by the interpreter memo while
-        // a matched sibling is parked in the cold section.
-        let report = variant(8, 12, 6).analyze().unwrap();
+        // still replay from the interpreter memo, with rows identical
+        // to the naive interpreter's.
+        let s = variant(8, 12, 6);
+        let report = s.analyze().unwrap();
         let m = report.memo_stats();
         assert!(
-            m.script_replays_forked > 0,
-            "interpreter never replayed a script while forked: {m:?}"
+            m.transfer_hits > 0,
+            "interpreter never hit the transfer memo: {m:?}"
         );
+        let mut naive = s.analysis_config();
+        naive.interp_memo = false;
+        let naive = leakaudit_analyzer::Analysis::new(naive).run(&s).unwrap();
+        assert_eq!(report.rows(), naive.rows(), "memo on = memo off");
     }
 
     #[test]

@@ -956,7 +956,7 @@ impl Registry {
         }
         // branchy gather: the fork-dense hot-loop stress axis — secret
         // range × loop length, including a lone straight-line tail
-        // (rounds > entries) so scripted loop bodies replay both forked
+        // (rounds > entries) so memoized loop bodies replay both forked
         // and lone at scale.
         for (entries, rounds, b) in [(8u32, 12u32, 6u8), (16, 24, 6), (8, 32, 5)] {
             r.push(ScenarioSpec::new(

@@ -659,22 +659,15 @@ impl Daemon {
             ),
             (
                 // Daemon-lifetime interpreter-memo counters: how often
-                // the per-pc transfer memo and the superblock scripts
-                // short-circuited the abstract interpreter. Same scope
-                // as `timings` — cache-served cells contribute nothing.
+                // the per-pc transfer memo short-circuited the abstract
+                // interpreter. Same scope as `timings` — cache-served
+                // cells contribute nothing.
                 "interp_memo",
                 {
                     let memo = self.engine.memo_totals();
                     Json::obj([
                         ("transfer_hits", Json::num(memo.transfer_hits)),
                         ("transfer_misses", Json::num(memo.transfer_misses)),
-                        ("script_replays", Json::num(memo.script_replays)),
-                        ("script_replays_lone", Json::num(memo.script_replays_lone)),
-                        (
-                            "script_replays_forked",
-                            Json::num(memo.script_replays_forked),
-                        ),
-                        ("script_steps", Json::num(memo.script_steps)),
                     ])
                 },
             ),
@@ -1016,27 +1009,13 @@ mod tests {
         assert!(phase_us > 0, "computed cell leaves nonzero phase time");
 
         // Interpreter-memo counters ride beside the timings block: the
-        // square-and-multiply loop revisits its body thousands of
-        // times, so the transfer memo must have hit, and every step is
-        // either a hit, a miss, or covered by a script replay.
+        // gather loop revisits its body with recurring inputs, so the
+        // transfer memo must have hit.
         let memo = stats.get("interp_memo").unwrap();
         let hits = memo.get("transfer_hits").and_then(Json::as_u64).unwrap();
         let misses = memo.get("transfer_misses").and_then(Json::as_u64).unwrap();
-        let replays = memo.get("script_replays").and_then(Json::as_u64).unwrap();
-        let lone = memo
-            .get("script_replays_lone")
-            .and_then(Json::as_u64)
-            .unwrap();
-        let forked = memo
-            .get("script_replays_forked")
-            .and_then(Json::as_u64)
-            .unwrap();
-        let scripted = memo.get("script_steps").and_then(Json::as_u64).unwrap();
         assert!(hits > 0, "loop bodies must hit the transfer memo");
         assert!(misses > 0, "first visits always miss");
-        assert!(replays > 0, "the gather loop repeats as a superblock");
-        assert_eq!(lone + forked, replays, "replay split must sum to total");
-        assert!(scripted >= replays, "a replay covers at least one step");
 
         // Per-op counters: one line of each op so far, the result split
         // into waiting and rendering within its total.

@@ -7,8 +7,8 @@
 //! domain → counting against assembler → decoder → emulator → concrete
 //! views, end to end, on programs nobody hand-picked. Generated programs
 //! include counted loops whose bodies may branch on the secret, so the
-//! interpreter's memo layers (per-pc transfer memo, superblock scripts)
-//! see repeated blocks, some under forks; every program is analyzed
+//! interpreter's per-pc transfer memo sees repeated steps, some under
+//! forks; every program is analyzed
 //! with the memo on and off, the two reports must agree row for row, and
 //! both must bound the concrete views.
 
