@@ -1,23 +1,24 @@
-//! Batch analysis: many targets, analyzed in parallel, with structured
-//! per-target results.
+//! Batch analysis: many targets, analyzed in parallel on one persistent
+//! worker pool, with structured per-target results.
 //!
 //! The paper's evaluation (§8) runs the analyzer over eight
 //! countermeasure binaries, each against the full observer hierarchy of
 //! §3.2. Those runs are completely independent — separate programs,
 //! separate initial states, separate symbol tables — so a service that
-//! answers many analysis requests should never serialize them. This
-//! module is that service seam: [`BatchAnalysis`] fans a set of
-//! [`BatchJob`]s out over scoped worker threads and collects one
-//! [`BatchOutcome`] per job (report or error, plus wall-clock timing).
+//! answers many analysis requests should never serialize them.
+//! [`Executor`] is the one runner: the paper tables
+//! (`scenarios::analyze_all`), the sweep engine and the daemon all
+//! submit [`OwnedJob`]s to it and collect one [`BatchOutcome`] per job
+//! (report or error, plus wall-clock timing) through a [`BatchTicket`].
 //!
 //! Parallelism lives at this level only: across jobs, workers pull from
 //! a shared queue. Within one job, the engine's single
 //! abstract-interpretation pass feeds every observer sink of the suite
 //! on the job's own thread (see [`crate::sink`]), and decoded
-//! instructions are shared across all configurations of the run (see
-//! [`crate::scheduler`]). Each job still computes exactly the Theorem 1
-//! bounds a sequential [`Analysis::run`] would: the batch-consistency
-//! integration suite asserts the reports are bit-identical.
+//! instructions are shared across all configurations of the run. Each
+//! job still computes exactly the Theorem 1 bounds a sequential
+//! [`Analysis::run`] would: the batch-consistency integration suite
+//! asserts the reports are bit-identical.
 
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -42,47 +43,6 @@ pub struct PhaseTotals {
     pub count: Duration,
 }
 
-/// One unit of batch work: a named target plus the architecture
-/// parameters to analyze it under.
-pub struct BatchJob<'a> {
-    /// Label carried through to the outcome (e.g. a scenario name).
-    pub name: String,
-    /// Analyzer configuration for this target.
-    pub config: AnalysisConfig,
-    /// The target to analyze.
-    pub target: &'a (dyn AnalysisTarget + Sync),
-    /// Relative cost estimate used to order work heaviest-first (`0` =
-    /// unknown; ties keep submission order). See [`BatchJob::with_cost_hint`].
-    pub cost_hint: u64,
-}
-
-impl<'a> BatchJob<'a> {
-    /// A job analyzing `target` under `config`.
-    pub fn new(
-        name: impl Into<String>,
-        config: AnalysisConfig,
-        target: &'a (dyn AnalysisTarget + Sync),
-    ) -> Self {
-        BatchJob {
-            name: name.into(),
-            config,
-            target,
-            cost_hint: 0,
-        }
-    }
-
-    /// Attaches a relative cost estimate. Workers pull pending jobs
-    /// heaviest-first, so giving the dominant job (e.g. the
-    /// defensive-gather scenario of a sweep) a high hint stops it from
-    /// serializing the tail of the batch. Results are bit-identical for
-    /// any hints — only scheduling changes.
-    #[must_use]
-    pub fn with_cost_hint(mut self, cost_hint: u64) -> Self {
-        self.cost_hint = cost_hint;
-        self
-    }
-}
-
 /// The result of one batch job.
 #[derive(Debug)]
 pub struct BatchOutcome {
@@ -105,13 +65,6 @@ impl BatchReport {
     /// Per-job outcomes, in submission order.
     pub fn outcomes(&self) -> &[BatchOutcome] {
         &self.outcomes
-    }
-
-    /// Consumes the report, yielding the outcomes in submission order
-    /// (lets the sweep service move the reports into shared cache
-    /// entries without cloning them).
-    pub fn into_outcomes(self) -> Vec<BatchOutcome> {
-        self.outcomes
     }
 
     /// Wall-clock time for the whole batch (with parallelism this is
@@ -140,103 +93,16 @@ impl BatchReport {
     }
 }
 
-/// Runs many analysis jobs in parallel over scoped worker threads.
-#[derive(Debug, Clone, Default)]
-pub struct BatchAnalysis {
-    threads: Option<usize>,
-}
-
-impl BatchAnalysis {
-    /// A batch runner sized to the machine's available parallelism.
-    pub fn new() -> Self {
-        BatchAnalysis::default()
-    }
-
-    /// Overrides the worker-thread count (`1` forces sequential runs).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
-        self
-    }
-
-    fn worker_count(&self, jobs: usize) -> usize {
-        let auto = || {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(4)
-        };
-        self.threads.unwrap_or_else(auto).min(jobs).max(1)
-    }
-
-    /// Analyzes every job, returning outcomes in submission order.
-    ///
-    /// Individual analyzer failures are captured per job and never abort
-    /// the rest of the batch.
-    ///
-    /// Pending jobs are pulled **heaviest-first** by [`BatchJob::cost_hint`]
-    /// (stable: equal hints keep submission order), so one dominant job
-    /// starts immediately instead of landing on a worker after the cheap
-    /// jobs drained — the batch tail is the dominant job's own tail, not
-    /// the whole dominant job.
-    pub fn run(&self, jobs: Vec<BatchJob<'_>>) -> BatchReport {
-        let started = Instant::now();
-        let workers = self.worker_count(jobs.len());
-        let mut slots: Vec<Option<BatchOutcome>> = Vec::new();
-        slots.resize_with(jobs.len(), || None);
-
-        if workers <= 1 {
-            for (slot, job) in slots.iter_mut().zip(&jobs) {
-                *slot = Some(run_job(job));
-            }
-        } else {
-            // Heaviest-first pull order over a shared index: any idle
-            // worker takes the costliest pending job (work stealing at
-            // batch granularity).
-            let mut order: Vec<usize> = (0..jobs.len()).collect();
-            order.sort_by_key(|&i| std::cmp::Reverse(jobs[i].cost_hint));
-            let next = AtomicUsize::new(0);
-            let results = Mutex::new(&mut slots);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let n = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&i) = order.get(n) else { break };
-                        let outcome = run_job(&jobs[i]);
-                        results.lock().expect("batch results poisoned")[i] = Some(outcome);
-                    });
-                }
-            });
-        }
-
-        BatchReport {
-            outcomes: slots
-                .into_iter()
-                .map(|s| s.expect("every job produces an outcome"))
-                .collect(),
-            wall: started.elapsed(),
-        }
-    }
-}
-
-fn run_job(job: &BatchJob<'_>) -> BatchOutcome {
-    let started = Instant::now();
-    let result = Analysis::new(job.config.clone()).run(&job.target);
-    BatchOutcome {
-        name: job.name.clone(),
-        result,
-        elapsed: started.elapsed(),
-    }
-}
-
 /// An owned, `'static` unit of work for the persistent [`Executor`]
-/// (the daemon path cannot borrow its targets the way scoped
-/// [`BatchAnalysis`] runs do — submissions outlive the submitting call).
+/// (submissions outlive the submitting call, so the target is shared,
+/// not borrowed).
 pub struct OwnedJob {
     /// Label carried through to the outcome.
     pub name: String,
     /// Analyzer configuration for this target.
     pub config: AnalysisConfig,
-    /// Relative cost estimate (see [`BatchJob::with_cost_hint`]).
+    /// Relative cost estimate used to order work heaviest-first (`0` =
+    /// unknown; ties keep submission order). See [`OwnedJob::with_cost_hint`].
     pub cost_hint: u64,
     /// The shared target to analyze.
     pub target: Arc<dyn AnalysisTarget + Send + Sync>,
@@ -264,7 +130,11 @@ impl OwnedJob {
         }
     }
 
-    /// Attaches a relative cost estimate (heaviest-first scheduling).
+    /// Attaches a relative cost estimate. Workers pull pending jobs
+    /// heaviest-first, so giving the dominant job (e.g. the
+    /// defensive-gather scenario of a sweep) a high hint stops it from
+    /// serializing the tail of the batch. Results are bit-identical for
+    /// any hints — only scheduling changes.
     #[must_use]
     pub fn with_cost_hint(mut self, cost_hint: u64) -> Self {
         self.cost_hint = cost_hint;
@@ -412,11 +282,6 @@ impl BatchTicket {
         }
     }
 
-    /// Wall-clock time since this batch was submitted.
-    pub fn elapsed(&self) -> Duration {
-        self.state.started.elapsed()
-    }
-
     /// Blocks until every job has an outcome, returning them in
     /// submission order (cancelled jobs carry
     /// [`AnalysisError::Cancelled`]).
@@ -543,10 +408,10 @@ impl ExecutorShared {
 }
 
 /// A persistent worker pool executing [`OwnedJob`]s from a shared,
-/// cost-ordered queue — the daemon's scheduling seam.
+/// cost-ordered queue — the one batch runner of the crate.
 ///
-/// Unlike [`BatchAnalysis`] (one scoped fan-out per call), the executor
-/// outlives its submissions: many batches can be in flight, and every
+/// The executor outlives its submissions: many batches can be in
+/// flight, and every
 /// idle worker steals the costliest pending item regardless of which
 /// batch submitted it. Outcomes land in per-submission [`BatchTicket`]s
 /// with progress reporting and queue-drop cancellation. Results are
@@ -744,9 +609,7 @@ fn worker_loop(shared: &ExecutorShared) {
             let started = Instant::now();
             // Contain per-job panics: an unwinding worker would never
             // record an outcome, hanging every wait on the batch and
-            // shrinking the pool. (The scoped `BatchAnalysis` path
-            // propagates panics at scope exit instead — a persistent
-            // pool has no such exit.)
+            // shrinking the pool.
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let analysis = Analysis::new(job.config.clone());
                 if job.members.is_empty() {
@@ -805,44 +668,19 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_sequential_and_keeps_order() {
-        let inputs: Vec<AnalysisInput> = (2..6).map(secret_load_input).collect();
-        let jobs = inputs
-            .iter()
-            .enumerate()
-            .map(|(i, input)| BatchJob::new(format!("job{i}"), AnalysisConfig::default(), input))
-            .collect();
-        let batch = BatchAnalysis::new().run(jobs);
-        assert_eq!(batch.outcomes().len(), 4);
-        for (i, input) in inputs.iter().enumerate() {
-            let outcome = &batch.outcomes()[i];
-            assert_eq!(outcome.name, format!("job{i}"));
-            let batch_report = outcome.result.as_ref().unwrap();
-            let seq_report = Analysis::new(AnalysisConfig::default()).run(input).unwrap();
-            for (b, s) in batch_report.rows().iter().zip(seq_report.rows()) {
-                assert_eq!(b.spec, s.spec);
-                assert_eq!(b.count, s.count);
-                assert_eq!(b.bits, s.bits);
-            }
-        }
-        // Spot-check a known bound: 4 entries -> 2 bits at the d-cache.
-        let report = batch.get("job2").unwrap().result.as_ref().unwrap();
-        assert_eq!(report.dcache_bits(Observer::address()), 2.0);
-    }
-
-    #[test]
     fn one_failing_job_does_not_poison_the_batch() {
-        let good = secret_load_input(4);
-        let bad = diverging_input();
+        let good: Arc<dyn AnalysisTarget + Send + Sync> = Arc::new(secret_load_input(4));
         let config = AnalysisConfig {
             fuel: 1_000,
             ..AnalysisConfig::default()
         };
-        let batch = BatchAnalysis::new().run(vec![
-            BatchJob::new("good", config.clone(), &good),
-            BatchJob::new("bad", config.clone(), &bad),
-            BatchJob::new("good2", config, &good),
-        ]);
+        let batch = Executor::with_threads(2)
+            .submit(vec![
+                OwnedJob::new("good", config.clone(), Arc::clone(&good)),
+                OwnedJob::new("bad", config.clone(), Arc::new(diverging_input())),
+                OwnedJob::new("good2", config, good),
+            ])
+            .wait();
         assert!(batch.get("good").unwrap().result.is_ok());
         assert!(matches!(
             batch.get("bad").unwrap().result,
@@ -883,6 +721,9 @@ mod tests {
                 assert_eq!(g.bits.to_bits(), w.bits.to_bits());
             }
         }
+        // Spot-check a known bound: 4 entries -> 2 bits at the d-cache.
+        let job2 = report.get("job2").unwrap().result.as_ref().unwrap();
+        assert_eq!(job2.dcache_bits(Observer::address()), 2.0);
     }
 
     #[test]
@@ -1027,17 +868,20 @@ mod tests {
     }
 
     #[test]
-    fn executor_accumulates_phase_totals() {
+    fn a_serial_executor_completes_and_accumulates_phase_totals() {
         let executor = Executor::with_threads(1);
         assert_eq!(executor.phase_totals(), PhaseTotals::default());
-        let ticket = executor.submit(vec![OwnedJob::new(
-            "job",
-            AnalysisConfig::default(),
-            Arc::new(secret_load_input(8)) as Arc<dyn AnalysisTarget + Send + Sync>,
-        )]);
-        ticket.wait();
+        let input: Arc<dyn AnalysisTarget + Send + Sync> = Arc::new(secret_load_input(8));
+        let batch = executor
+            .submit(vec![
+                OwnedJob::new("a", AnalysisConfig::default(), Arc::clone(&input)),
+                OwnedJob::new("b", AnalysisConfig::default(), input),
+            ])
+            .wait();
+        assert_eq!(batch.reports().count(), 2);
+        assert!(batch.wall_time() > Duration::ZERO);
         let totals = executor.phase_totals();
-        assert_eq!(totals.runs, 1);
+        assert_eq!(totals.runs, 2);
         assert!(
             totals.interpret + totals.replay + totals.count > Duration::ZERO,
             "a completed run leaves nonzero phase time"
@@ -1090,16 +934,5 @@ mod tests {
             vec![(100, 0, 1), (100, 1, 0), (10, 0, 2), (1, 0, 0)],
             "cost descending, then submission order"
         );
-    }
-
-    #[test]
-    fn single_thread_override_still_completes() {
-        let input = secret_load_input(8);
-        let batch = BatchAnalysis::new().with_threads(1).run(vec![
-            BatchJob::new("a", AnalysisConfig::default(), &input),
-            BatchJob::new("b", AnalysisConfig::default(), &input),
-        ]);
-        assert_eq!(batch.reports().count(), 2);
-        assert!(batch.wall_time() > Duration::ZERO);
     }
 }

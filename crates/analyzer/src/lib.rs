@@ -54,8 +54,8 @@ use leakaudit_core::{CacheKeyed, FingerprintHasher, Observer};
 use leakaudit_x86::{DecodeError, Program};
 
 pub use batch::{
-    BatchAnalysis, BatchJob, BatchOutcome, BatchReport, BatchTicket, Executor, OwnedJob,
-    PhaseTotals, Progress, ProgressProbe,
+    BatchOutcome, BatchReport, BatchTicket, Executor, OwnedJob, PhaseTotals, Progress,
+    ProgressProbe,
 };
 pub use exec::{
     address_of, eval_cond, execute, execute_decoded, AccessVec, ForkPlan, Next, StepEffect,
@@ -130,11 +130,6 @@ impl Budget {
             deadline_ms: Some(ms),
             ..Budget::UNLIMITED
         }
-    }
-
-    /// `true` when neither resource is capped.
-    pub fn is_unlimited(&self) -> bool {
-        self.fuel.is_none() && self.deadline_ms.is_none()
     }
 }
 
@@ -313,7 +308,7 @@ impl AnalysisConfig {
     /// event stream but never influence the stream itself, so two
     /// configs differing only here can share one scheduler pass (see
     /// [`Analysis::run_union`]).
-    pub fn observation_key_into(&self, h: &mut FingerprintHasher) {
+    fn observation_key_into(&self, h: &mut FingerprintHasher) {
         h.write_u8(self.block_bits);
         h.write_u8(self.bank_bits);
         h.write_u8(self.page_bits);
@@ -333,7 +328,7 @@ impl AnalysisConfig {
     /// `true` when `other` would drive the scheduler identically: same
     /// fuel, budget, and configuration cap. Observer granularities are
     /// deliberately ignored — they only pick sinks.
-    pub fn same_interpretation(&self, other: &AnalysisConfig) -> bool {
+    fn same_interpretation(&self, other: &AnalysisConfig) -> bool {
         self.fuel == other.fuel
             && self.budget == other.budget
             && self.max_configs == other.max_configs
@@ -454,9 +449,8 @@ impl Analysis {
     /// Analyzes a target once for a whole *interpretation group*: this
     /// analysis' own configuration (the group lead) plus `members`,
     /// which must agree with it on every interpretation field (fuel,
-    /// budget, `max_configs` — see
-    /// [`AnalysisConfig::same_interpretation`]) and may differ only in
-    /// observer granularities.
+    /// budget, `max_configs`) and may differ only in observer
+    /// granularities.
     ///
     /// One scheduler pass drives the union of all member observer
     /// suites (lead first, then each member's novel specs in order), so

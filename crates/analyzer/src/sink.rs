@@ -3,7 +3,7 @@
 //!
 //! # Why a pipeline
 //!
-//! The scheduler's fixpoint iteration (see [`crate::scheduler`]) never
+//! The scheduler's fixpoint iteration (the crate's `scheduler` module) never
 //! inspects trace state: forking, joining, and stepping depend only on
 //! program counters and abstract machine states. Trace bookkeeping is a
 //! pure *consumer* of what the scheduler does. This module exploits that
@@ -223,7 +223,7 @@ impl Lane {
 }
 
 /// The observer sink: the replay state of one offset-bits equivalence
-/// class of observers, one [`Lane`] per member spec behind a shared
+/// class of observers, one lane per member spec behind a shared
 /// per-event front end.
 ///
 /// Every lane of a class projects addresses identically — projection
@@ -326,7 +326,7 @@ impl DagSink {
 
     /// Finishes the stream: counts traces and converts them to leakage
     /// bounds, one row per lane in the class's spec order.
-    pub fn into_rows(self) -> Vec<LeakRow> {
+    fn into_rows(self) -> Vec<LeakRow> {
         self.lanes.into_iter().map(Lane::into_row).collect()
     }
 }
@@ -347,7 +347,7 @@ const CHUNK: usize = 256;
 ///
 /// Events are buffered and applied to every sink in `CHUNK`-sized
 /// (256-event) batches on the calling thread. Row order in the result
-/// is sink order, flattened over each sink's [`DagSink::into_rows`]. If
+/// is sink order, each sink's rows in its class's spec order. If
 /// `drive` errors, the partial rows are discarded and the error is
 /// returned.
 ///

@@ -250,7 +250,7 @@ impl AbstractMemory {
     }
 
     /// Forgets everything (a store through a completely unknown pointer).
-    pub fn havoc(&mut self) {
+    fn havoc(&mut self) {
         self.entries = Arc::new(BTreeMap::new());
         self.havocked = true;
         self.stamp = fresh_stamp();

@@ -85,7 +85,6 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use leakaudit_analyzer::{Analysis, MemoStats, PhaseTimings};
-use leakaudit_cache::Policy;
 use leakaudit_scenarios::{analyze_all, Registry, Scenario};
 use leakaudit_service::{Daemon, Json, SweepEngine};
 
@@ -492,7 +491,7 @@ fn main() {
 
     // The bounded-memory worst case: a cache too small to retain any
     // report, so every re-run pays eviction bookkeeping + recomputation.
-    let evicting_engine = SweepEngine::new().with_eviction(64, Policy::Lru);
+    let evicting_engine = SweepEngine::new().with_eviction(64);
     evicting_engine.run(&registry); // prime the plan memo like a long-running daemon
     let evicting_sweep_ms = measure(args.iters, args.warmup, || {
         let report = evicting_engine.run(&registry);

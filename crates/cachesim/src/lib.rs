@@ -595,4 +595,58 @@ mod tests {
         assert!(!c.probe(0x100));
         assert_eq!(c.stats().misses, 1);
     }
+
+    /// Stutter invariance, the property behind stuttering observers: an
+    /// immediate repeat of the line just accessed always hits and leaves
+    /// the cache state as it was. (An LRU hit moves the back element to
+    /// the back, FIFO ignores hits, and `plru_touch` is idempotent.)
+    #[test]
+    fn immediate_repeats_of_a_line_hit_and_change_nothing() {
+        const LINE: u64 = 16;
+        let mut repeats = 0u32;
+        for policy in Policy::ALL {
+            for (sets, ways) in [(1, 1), (1, 2), (2, 2), (1, 4), (2, 4), (4, 2)] {
+                let config = CacheConfig {
+                    sets,
+                    ways,
+                    line_bytes: LINE as u32,
+                    policy,
+                };
+                for seed in 1..=16u64 {
+                    // xorshift64: a fixed, dependency-free address stream
+                    // over 32 lines, more than every geometry holds.
+                    let mut state = seed;
+                    let mut next = move || {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        state
+                    };
+                    let mut plain = Cache::new(config);
+                    let mut stuttered = Cache::new(config);
+                    for _ in 0..64 {
+                        let addr = next() % (32 * LINE);
+                        let hit = plain.access(addr);
+                        assert_eq!(stuttered.access(addr), hit, "{policy} {sets}x{ways}");
+                        for _ in 0..next() % 3 {
+                            let offset = next() % LINE;
+                            assert!(
+                                stuttered.access(addr - addr % LINE + offset),
+                                "{policy} {sets}x{ways}: a repeat must hit"
+                            );
+                            repeats += 1;
+                        }
+                    }
+                    assert_eq!(
+                        format!("{:?}", plain.sets),
+                        format!("{:?}", stuttered.sets),
+                        "{policy} {sets}x{ways} seed {seed}"
+                    );
+                    assert_eq!(plain.stats().misses, stuttered.stats().misses);
+                    assert_eq!(plain.stats().evictions, stuttered.stats().evictions);
+                }
+            }
+        }
+        assert!(repeats > 0, "the sequences must stutter");
+    }
 }

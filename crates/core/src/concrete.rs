@@ -46,7 +46,7 @@ impl Valuation {
     }
 
     /// The bits of `sym` (zero if unassigned).
-    pub fn bits_of(&self, sym: SymId) -> u64 {
+    fn bits_of(&self, sym: SymId) -> u64 {
         self.map.get(&sym).copied().unwrap_or(0)
     }
 

@@ -76,7 +76,7 @@ impl FingerprintHasher {
     }
 
     /// Feeds raw bytes (no length prefix; use for fixed-size fields).
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
+    fn write_bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.state = (self.state ^ u128::from(b)).wrapping_mul(FNV_PRIME);
         }

@@ -28,15 +28,6 @@ impl MaskBit {
             MaskBit::Zero
         }
     }
-
-    /// Returns the concrete value if the bit is known.
-    pub fn known_value(self) -> Option<bool> {
-        match self {
-            MaskBit::Zero => Some(false),
-            MaskBit::One => Some(true),
-            MaskBit::Top => None,
-        }
-    }
 }
 
 /// A pattern of known and unknown bits over a word of up to 64 bits
@@ -186,11 +177,6 @@ impl Mask {
         self.known == 0
     }
 
-    /// Number of unknown (`⊤`) bits.
-    pub fn unknown_count(&self) -> u32 {
-        (self.width_mask() & !self.known).count_ones()
-    }
-
     /// The concrete value, if the mask is fully known.
     pub fn as_constant(&self) -> Option<u64> {
         self.is_fully_known().then_some(self.value)
@@ -257,7 +243,6 @@ mod tests {
     fn top_has_no_known_bits() {
         let m = Mask::top(32);
         assert!(m.is_fully_unknown());
-        assert_eq!(m.unknown_count(), 32);
         assert_eq!(m.as_constant(), None);
     }
 
@@ -292,7 +277,6 @@ mod tests {
     fn aligned_pointer_mask_example6() {
         // (s, ⊤···⊤000000): cache-line aligned, 64-byte lines.
         let m = Mask::top(32).with_low_bits_known(6, 0);
-        assert_eq!(m.unknown_count(), 26);
         assert_eq!(m.apply_to(0xffff_ffff), 0xffff_ffc0);
         assert_eq!(m.apply_to(0x0000_1234), 0x0000_1200);
     }

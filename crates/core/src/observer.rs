@@ -70,17 +70,6 @@ impl Observer {
         Observer::block(12)
     }
 
-    /// An observer for units of the given byte size (must be a power of
-    /// two).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is not a power of two.
-    pub fn from_unit_bytes(bytes: u64) -> Self {
-        assert!(bytes.is_power_of_two(), "unit size must be a power of two");
-        Observer::block(bytes.trailing_zeros() as u8)
-    }
-
     /// The stuttering variant of this observer (paper: `view^b-block` etc.).
     pub fn stuttering(self) -> Self {
         Observer {
@@ -280,7 +269,7 @@ impl ObsSet {
     }
 
     /// The set of every `2^bits` observation (an unknown-high access).
-    pub fn top_bits(bits: u8) -> Self {
+    fn top_bits(bits: u8) -> Self {
         ObsSet {
             repr: ObsRepr::Top { bits },
         }
@@ -368,7 +357,6 @@ mod tests {
         assert_eq!(Observer::block(6).offset_bits(), 6);
         assert_eq!(Observer::bank().offset_bits(), 2);
         assert_eq!(Observer::address().offset_bits(), 0);
-        assert_eq!(Observer::from_unit_bytes(64), Observer::block(6));
     }
 
     #[test]

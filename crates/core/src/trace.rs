@@ -383,14 +383,6 @@ impl TraceDag {
         }
     }
 
-    /// Releases a cursor whose path died (e.g. fell out of the analyzed
-    /// region without rejoining).
-    pub fn drop_cursor(&mut self, c: Cursor) {
-        for &v in &c.verts {
-            self.vertices[v.index()].cursor_refs -= 1;
-        }
-    }
-
     /// Joins two paths that reached the same program point (paper §6.4
     /// join). The join is *delayed*: the union frontier is kept and the ε
     /// vertex is materialized by the next [`TraceDag::update`].
@@ -881,16 +873,6 @@ mod tests {
         let merged = dag.merge_cursors(a, b);
         // Two distinct continuations: 0x10·0x20 and 0x10·0x30·0x40.
         assert_eq!(dag.count(&merged).to_u64(), Some(2));
-    }
-
-    #[test]
-    fn dropping_a_dead_path_removes_its_traces() {
-        let (mut dag, cur) = TraceDag::new(Observer::address());
-        let a = dag.access(cur, &consts(&[0x10]));
-        let b = dag.clone_cursor(&a);
-        let b = dag.access(b, &consts(&[0x20]));
-        dag.drop_cursor(b);
-        assert_eq!(dag.count(&a).to_u64(), Some(1));
     }
 
     #[test]

@@ -45,7 +45,7 @@ const GUARD: u32 = 0x4_f000;
 ///
 /// `ecx` holds the secret index `k ∈ {0..entries-1}`; `ebx` holds the
 /// dynamically allocated table `p` of `rounds` 32-bit words; the guard
-/// word lives in the image at [`GUARD`]. Iterations
+/// word lives in the image at `GUARD` (`0x4f000`). Iterations
 /// `i < entries` fork on the undecided `i == k` compare (both paths are
 /// possible); iterations `i >= entries` decide the compare and stay
 /// lone — `rounds > entries` mixes forked and straight-line trips of

@@ -46,10 +46,11 @@ pub mod square_multiply;
 pub use registry::{Family, FamilyParams, Opt, ParseSpecError, Registry, ScenarioSpec};
 
 use std::fmt;
+use std::sync::Arc;
 
 use leakaudit_analyzer::{
-    Analysis, AnalysisConfig, AnalysisError, AnalysisTarget, BatchAnalysis, BatchJob, BatchReport,
-    InitState, LeakReport,
+    Analysis, AnalysisConfig, AnalysisError, AnalysisInput, AnalysisTarget, BatchReport, Executor,
+    InitState, LeakReport, OwnedJob,
 };
 use leakaudit_x86::{EmuError, EmuTrace, Emulator, Program, Reg};
 
@@ -200,8 +201,14 @@ impl Scenario {
     }
 
     /// This scenario as one unit of batch work (see [`analyze_all`]).
-    pub fn batch_job(&self) -> BatchJob<'_> {
-        BatchJob::new(self.name.clone(), self.analysis_config(), self)
+    /// The job owns a copy of the binary and the initial state only,
+    /// not the concrete validation cases.
+    pub fn batch_job(&self) -> OwnedJob {
+        let input = AnalysisInput {
+            program: self.program.clone(),
+            init: self.init.clone(),
+        };
+        OwnedJob::new(self.name.clone(), self.analysis_config(), Arc::new(input))
     }
 
     /// Runs one concrete case in the emulator, returning its memory trace.
@@ -272,10 +279,11 @@ pub fn all() -> Vec<Scenario> {
     ]
 }
 
-/// Analyzes a set of scenarios in parallel through
-/// [`leakaudit_analyzer::BatchAnalysis`], each under its own
-/// architecture parameters. Outcomes come back in input order and are
-/// bit-identical to per-scenario [`Scenario::analyze`] calls.
+/// Analyzes a set of scenarios in parallel on an
+/// [`leakaudit_analyzer::Executor`] (the runner the sweep engine and the
+/// daemon use), each under its own architecture parameters. Outcomes
+/// come back in input order and are bit-identical to per-scenario
+/// [`Scenario::analyze`] calls.
 ///
 /// ```
 /// let scenarios = leakaudit_scenarios::all();
@@ -284,7 +292,9 @@ pub fn all() -> Vec<Scenario> {
 /// assert_eq!(batch.errors().count(), 0);
 /// ```
 pub fn analyze_all(scenarios: &[Scenario]) -> BatchReport {
-    BatchAnalysis::new().run(scenarios.iter().map(Scenario::batch_job).collect())
+    Executor::new()
+        .submit(scenarios.iter().map(Scenario::batch_job).collect())
+        .wait()
 }
 
 #[cfg(test)]

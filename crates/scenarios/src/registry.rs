@@ -337,7 +337,7 @@ impl ScenarioSpec {
     }
 
     /// A relative analysis-cost estimate for heaviest-first batch
-    /// scheduling (see `BatchJob::with_cost_hint` in the analyzer).
+    /// scheduling (see `OwnedJob::with_cost_hint` in the analyzer).
     ///
     /// The constants reflect the observed cost ordering of the paper's
     /// eight instances — defensive-gather dominates every batch (its

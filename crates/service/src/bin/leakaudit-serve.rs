@@ -7,16 +7,15 @@
 //!
 //! ```text
 //! leakaudit-serve [--stdio] [--tcp ADDR:PORT] [--cache-dir DIR]
-//!                 [--capacity-bytes N] [--policy lru|fifo|plru]
-//!                 [--threads N]
+//!                 [--capacity-bytes N] [--threads N]
 //! leakaudit-serve migrate --cache-dir DIR
 //! ```
 //!
 //! * `--cache-dir DIR`: attach the on-disk store (sharded
 //!   `ab/cd/<key>.json` layout; PR-3 flat entries are read and
 //!   re-sharded transparently).
-//! * `--capacity-bytes N`: bound the in-memory cache, evicting under
-//!   `--policy` (default unbounded; default policy `lru`).
+//! * `--capacity-bytes N`: bound the in-memory cache, evicting the
+//!   least-recently-used entries (default unbounded).
 //! * `--threads N`: executor worker count (default: all cores).
 //! * `migrate`: one-shot move of every flat-layout disk entry into the
 //!   sharded layout, then exit.
@@ -41,14 +40,12 @@
 use std::io::{BufRead, BufReader, Write};
 use std::sync::Arc;
 
-use leakaudit_cache::Policy;
 use leakaudit_service::{Daemon, DiskCache, SweepEngine};
 
 struct Args {
     tcp: Option<String>,
     cache_dir: Option<String>,
     capacity_bytes: Option<u64>,
-    policy: Policy,
     threads: Option<usize>,
     migrate: bool,
 }
@@ -56,7 +53,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: leakaudit-serve [--stdio] [--tcp ADDR:PORT] [--cache-dir DIR]\n\
-         \x20                      [--capacity-bytes N] [--policy lru|fifo|plru] [--threads N]\n\
+         \x20                      [--capacity-bytes N] [--threads N]\n\
          \x20      leakaudit-serve migrate --cache-dir DIR"
     );
     std::process::exit(2);
@@ -67,7 +64,6 @@ fn parse_args() -> Args {
         tcp: None,
         cache_dir: None,
         capacity_bytes: None,
-        policy: Policy::Lru,
         threads: None,
         migrate: false,
     };
@@ -90,14 +86,6 @@ fn parse_args() -> Args {
                         .parse()
                         .unwrap_or_else(|_| usage()),
                 );
-            }
-            "--policy" => {
-                args.policy = match value_of("--policy").as_str() {
-                    "lru" => Policy::Lru,
-                    "fifo" => Policy::Fifo,
-                    "plru" => Policy::Plru,
-                    _ => usage(),
-                };
             }
             "--threads" => {
                 args.threads = Some(value_of("--threads").parse().unwrap_or_else(|_| usage()));
@@ -143,7 +131,7 @@ fn main() {
         engine = engine.with_threads(threads);
     }
     if let Some(bytes) = args.capacity_bytes {
-        engine = engine.with_eviction(bytes, args.policy);
+        engine = engine.with_eviction(bytes);
     }
     if let Some(dir) = &args.cache_dir {
         engine = engine.with_disk_cache(dir).unwrap_or_else(|e| {

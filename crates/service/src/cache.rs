@@ -15,12 +15,11 @@
 //! grew without bound. [`MemoryCache`] now hashes keys across N
 //! mutex-guarded shards (contention drops N-fold; the key's fingerprint
 //! bits pick the shard, no re-hashing) and optionally enforces a byte
-//! budget per shard, evicting through a pluggable [`EvictionPolicy`]
-//! that reuses the `leakaudit-cache` replacement-policy vocabulary
-//! (LRU/FIFO, by bytes). [`DiskCache`] fans entries out into
-//! `ab/cd/<key>.json` subdirectories — flat directories stop scaling
-//! past a few thousand files — while transparently reading (and
-//! re-sharding) entries written in the PR-3 flat layout.
+//! budget per shard, evicting the least-recently-used entries.
+//! [`DiskCache`] fans entries out into `ab/cd/<key>.json`
+//! subdirectories — flat directories stop scaling past a few thousand
+//! files — while transparently reading (and re-sharding) entries
+//! written in the PR-3 flat layout.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -58,73 +57,6 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-/// Recency/age metadata of one cached entry, as seen by an
-/// [`EvictionPolicy`].
-#[derive(Debug, Clone, Copy)]
-pub struct EntryMeta {
-    /// Approximate retained bytes of the entry.
-    pub weight: u64,
-    /// Logical timestamp of the last hit (or the insertion, whichever
-    /// is later). Monotonic across the whole cache.
-    pub last_touch: u64,
-    /// Logical timestamp of the insertion.
-    pub inserted: u64,
-}
-
-/// Chooses which entry a full shard drops.
-///
-/// The vocabulary deliberately mirrors the replacement policies of the
-/// `leakaudit-cache` simulator ([`leakaudit_cache::Policy`]) — the same
-/// names an operator already uses for cache geometry sweeps select the
-/// result store's eviction behavior (see [`eviction_for`]).
-pub trait EvictionPolicy: Send + Sync + fmt::Debug {
-    /// Stable lowercase name (`"lru"`, `"fifo"`).
-    fn name(&self) -> &'static str;
-
-    /// The entry to evict, given every entry of the over-budget shard.
-    /// `None` is only allowed for an empty iterator.
-    fn victim(&self, entries: &mut dyn Iterator<Item = (CacheKey, EntryMeta)>) -> Option<CacheKey>;
-}
-
-/// Evict the least-recently-used entry (by [`EntryMeta::last_touch`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LruBytes;
-
-impl EvictionPolicy for LruBytes {
-    fn name(&self) -> &'static str {
-        "lru"
-    }
-
-    fn victim(&self, entries: &mut dyn Iterator<Item = (CacheKey, EntryMeta)>) -> Option<CacheKey> {
-        entries.min_by_key(|(_, m)| m.last_touch).map(|(k, _)| k)
-    }
-}
-
-/// Evict the oldest entry (by [`EntryMeta::inserted`]), hits ignored.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FifoBytes;
-
-impl EvictionPolicy for FifoBytes {
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
-
-    fn victim(&self, entries: &mut dyn Iterator<Item = (CacheKey, EntryMeta)>) -> Option<CacheKey> {
-        entries.min_by_key(|(_, m)| m.inserted).map(|(k, _)| k)
-    }
-}
-
-/// The eviction policy matching a cache-simulator replacement policy.
-/// Tree-PLRU approximates LRU in hardware because exact recency is
-/// expensive per set; a software byte-weighted store tracks exact
-/// recency anyway, so `Plru` maps to [`LruBytes`].
-pub fn eviction_for(policy: leakaudit_cache::Policy) -> Arc<dyn EvictionPolicy> {
-    match policy {
-        leakaudit_cache::Policy::Fifo => Arc::new(FifoBytes),
-        leakaudit_cache::Policy::Lru | leakaudit_cache::Policy::Plru => Arc::new(LruBytes),
-    }
-}
-
 /// Approximate retained bytes of one report (rows, counts, specs). Used
 /// as the eviction weight; exactness is irrelevant, monotonicity with
 /// actual size is what bounds memory.
@@ -139,7 +71,11 @@ pub fn report_weight(report: &LeakReport) -> u64 {
 
 struct Entry {
     report: Arc<LeakReport>,
-    meta: EntryMeta,
+    /// Approximate retained bytes ([`report_weight`]).
+    weight: u64,
+    /// Logical timestamp of the last hit or the insertion, whichever is
+    /// later; monotonic across the whole cache. The smallest is evicted.
+    last_touch: u64,
 }
 
 #[derive(Default)]
@@ -149,7 +85,7 @@ struct Shard {
 }
 
 /// The in-memory store: key-sharded maps of shared reports with an
-/// optional byte budget enforced by an [`EvictionPolicy`].
+/// optional byte budget enforced by least-recently-used eviction.
 ///
 /// [`MemoryCache::new`] is unbounded (the PR-3 behavior); bound it with
 /// [`MemoryCache::with_capacity_bytes`]. The budget splits evenly
@@ -157,7 +93,6 @@ struct Shard {
 pub struct MemoryCache {
     shards: Vec<Mutex<Shard>>,
     capacity: Option<u64>,
-    policy: Arc<dyn EvictionPolicy>,
     clock: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -169,7 +104,6 @@ impl fmt::Debug for MemoryCache {
         f.debug_struct("MemoryCache")
             .field("shards", &self.shards.len())
             .field("capacity", &self.capacity)
-            .field("policy", &self.policy.name())
             .field("stats", &self.stats())
             .finish()
     }
@@ -198,7 +132,6 @@ impl MemoryCache {
         MemoryCache {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
             capacity: None,
-            policy: Arc::new(LruBytes),
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -208,19 +141,12 @@ impl MemoryCache {
 
     /// Bounds the cache at roughly `bytes` retained report bytes
     /// (estimated via [`report_weight`]); inserting past the budget
-    /// evicts via the configured policy. An entry larger than a whole
-    /// shard's budget is evicted immediately after insertion — the
-    /// cache stays bounded, the caller just recomputes.
+    /// evicts the least-recently-used entries of the shard. An entry
+    /// larger than a whole shard's budget is evicted immediately after
+    /// insertion — the cache stays bounded, the caller just recomputes.
     #[must_use]
     pub fn with_capacity_bytes(mut self, bytes: u64) -> Self {
         self.capacity = Some(bytes);
-        self
-    }
-
-    /// Selects the eviction policy (default: [`LruBytes`]).
-    #[must_use]
-    pub fn with_policy(mut self, policy: Arc<dyn EvictionPolicy>) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -254,11 +180,6 @@ impl MemoryCache {
         }
     }
 
-    /// The configured eviction policy's name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     fn shard(&self, key: &CacheKey) -> &Mutex<Shard> {
         let mask = self.shards.len() - 1;
         &self.shards[(key.low_bits() as usize) & mask]
@@ -278,7 +199,7 @@ impl ResultCache for MemoryCache {
         let now = self.tick();
         let mut shard = self.shard(key).lock().expect("cache poisoned");
         let found = shard.map.get_mut(key).map(|entry| {
-            entry.meta.last_touch = now;
+            entry.last_touch = now;
             Arc::clone(&entry.report)
         });
         drop(shard);
@@ -297,24 +218,23 @@ impl ResultCache for MemoryCache {
             key,
             Entry {
                 report,
-                meta: EntryMeta {
-                    weight,
-                    last_touch: now,
-                    inserted: now,
-                },
+                weight,
+                last_touch: now,
             },
         ) {
-            shard.bytes -= old.meta.weight;
+            shard.bytes -= old.weight;
         }
         shard.bytes += weight;
         if let Some(budget) = self.shard_budget() {
             while shard.bytes > budget && !shard.map.is_empty() {
-                let victim = self
-                    .policy
-                    .victim(&mut shard.map.iter().map(|(k, e)| (*k, e.meta)))
-                    .expect("non-empty shard yields a victim");
+                let victim = *shard
+                    .map
+                    .iter()
+                    .min_by_key(|(_, e)| e.last_touch)
+                    .expect("non-empty shard yields a victim")
+                    .0;
                 let evicted = shard.map.remove(&victim).expect("victim exists");
-                shard.bytes -= evicted.meta.weight;
+                shard.bytes -= evicted.weight;
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -560,7 +480,7 @@ pub(crate) fn write_wire_row(out: &mut String, row: &LeakRow) -> fmt::Result {
 /// field-level mismatch (treated as a cache miss by callers): an entry
 /// is served whole and right, or not at all.
 ///
-/// - The schema line must name exactly [`RESULT_SCHEMA`]; a document of
+/// - The schema line must name exactly `leakaudit-result/v1`; a document of
 ///   another version (`leakaudit-result/v10` included) is a miss.
 /// - Every line between `"rows": [` and `]` must be one whole `{…}` row
 ///   object that decodes, so a damaged row line cannot silently drop
@@ -755,9 +675,7 @@ mod tests {
         let report = Arc::new(sample_report());
         let weight = report_weight(&report);
         // One shard, room for ~3 entries.
-        let cache = MemoryCache::with_shards(1)
-            .with_capacity_bytes(3 * weight)
-            .with_policy(Arc::new(LruBytes));
+        let cache = MemoryCache::with_shards(1).with_capacity_bytes(3 * weight);
         for n in 0..3 {
             cache.put(key_n(n), Arc::clone(&report));
         }
@@ -773,26 +691,6 @@ mod tests {
         assert!(cache.get(&key_n(3)).is_some());
         assert_eq!(cache.stats().evictions, 1);
         assert!(cache.bytes() <= 3 * weight);
-    }
-
-    #[test]
-    fn fifo_ignores_touches() {
-        let report = Arc::new(sample_report());
-        let weight = report_weight(&report);
-        let cache = MemoryCache::with_shards(1)
-            .with_capacity_bytes(3 * weight)
-            .with_policy(eviction_for(leakaudit_cache::Policy::Fifo));
-        assert_eq!(cache.policy_name(), "fifo");
-        for n in 0..3 {
-            cache.put(key_n(n), Arc::clone(&report));
-        }
-        assert!(
-            cache.get(&key_n(0)).is_some(),
-            "touching 0 does not save it"
-        );
-        cache.put(key_n(3), Arc::clone(&report));
-        assert!(cache.get(&key_n(0)).is_none(), "FIFO evicts the oldest");
-        assert!(cache.get(&key_n(1)).is_some());
     }
 
     #[test]

@@ -615,14 +615,6 @@ impl Daemon {
                     ("hits", Json::num(stats.hits)),
                     ("misses", Json::num(stats.misses)),
                     ("evictions", Json::num(stats.evictions)),
-                    ("policy", Json::str(self.engine.memory_policy())),
-                    (
-                        "evictions_by_policy",
-                        Json::Obj(vec![(
-                            self.engine.memory_policy().to_string(),
-                            Json::num(stats.evictions),
-                        )]),
-                    ),
                 ]),
             ),
             ("disk_entries", Json::num(self.engine.disk_entries() as u64)),

@@ -12,8 +12,8 @@
 //!   program bytes × initial state × analyzer config, hashed with a
 //!   stable (cross-process, cross-platform) 128-bit encoding;
 //! * [`MemoryCache`] / [`DiskCache`] — key-sharded `Arc`-shared
-//!   in-memory entries with an optional byte budget and pluggable
-//!   [`EvictionPolicy`], plus a fan-out directory of JSON entries
+//!   in-memory entries with an optional byte budget (least recently
+//!   used evicted first), plus a fan-out directory of JSON entries
 //!   surviving the process;
 //! * [`SweepEngine`] — plans a [`Registry`] sweep under a per-request
 //!   [`AuditProfile`] (observer-granularity overrides, fuel/deadline
@@ -69,10 +69,7 @@ pub mod key;
 pub mod proto;
 pub mod sweep;
 
-pub use cache::{
-    eviction_for, CacheStats, DiskCache, EntryMeta, EvictionPolicy, FifoBytes, LruBytes,
-    MemoryCache, ResultCache,
-};
+pub use cache::{CacheStats, DiskCache, MemoryCache, ResultCache};
 pub use daemon::Daemon;
 pub use key::{BaseKey, CacheKey, GroupKey};
 pub use proto::Json;

@@ -11,8 +11,8 @@
 //! 1. an identical cell earlier in the same sweep ([`Provenance::Shared`]),
 //! 2. the in-memory cache ([`Provenance::MemoryHit`]),
 //! 3. the on-disk cache ([`Provenance::DiskHit`]),
-//! 4. a fresh parallel analysis ([`Provenance::Computed`]) through
-//!    [`BatchAnalysis`] — the PR-1 fan-out path,
+//! 4. a fresh parallel analysis ([`Provenance::Computed`]) on the
+//!    engine's persistent [`Executor`],
 //! 5. the shared scheduler pass of another computed cell
 //!    ([`Provenance::SharedPass`]): cells that differ only in observer
 //!    granularity are partitioned into *interpretation groups* (by
@@ -39,7 +39,7 @@ use leakaudit_analyzer::{
 use leakaudit_cache::{CacheConfig, CycleModel, Hierarchy, Policy};
 use leakaudit_scenarios::{Registry, Scenario, ScenarioSpec};
 
-use crate::cache::{eviction_for, CacheStats, DiskCache, MemoryCache, ResultCache};
+use crate::cache::{CacheStats, DiskCache, MemoryCache, ResultCache};
 use crate::key::{BaseKey, CacheKey, GroupKey};
 
 /// Per-request analysis overrides: the client-facing half of an audit
@@ -436,17 +436,13 @@ impl SweepEngine {
     }
 
     /// Bounds the in-memory result cache at roughly `capacity_bytes`,
-    /// evicting under the named replacement policy (the cache-simulator
-    /// vocabulary: `lru`, `fifo`; `plru` behaves as exact LRU — see
-    /// [`eviction_for`]). Replaces the engine's memory cache, so set it
-    /// at construction time. Eviction never changes results: an evicted
-    /// cell is recomputed bit-identically (pinned by the
-    /// sweep-under-eviction consistency test).
+    /// evicting the least-recently-used entries. Replaces the engine's
+    /// memory cache, so set it at construction time. Eviction never
+    /// changes results: an evicted cell is recomputed bit-identically
+    /// (pinned by the sweep-under-eviction consistency test).
     #[must_use]
-    pub fn with_eviction(mut self, capacity_bytes: u64, policy: Policy) -> Self {
-        self.memory = MemoryCache::new()
-            .with_capacity_bytes(capacity_bytes)
-            .with_policy(eviction_for(policy));
+    pub fn with_eviction(mut self, capacity_bytes: u64) -> Self {
+        self.memory = MemoryCache::new().with_capacity_bytes(capacity_bytes);
         self
     }
 
@@ -465,11 +461,6 @@ impl SweepEngine {
     /// In-memory cache lookup counters (the warm/cold observability).
     pub fn memory_stats(&self) -> CacheStats {
         self.memory.stats()
-    }
-
-    /// The in-memory cache's eviction-policy name (`"lru"`, `"fifo"`).
-    pub fn memory_policy(&self) -> &'static str {
-        self.memory.policy_name()
     }
 
     /// Number of entries in the in-memory cache.

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use leakaudit_analyzer::{Channel, LeakReport, LeakRow, ObserverSpec};
 use leakaudit_core::Observer;
 use leakaudit_mpi::Natural;
-use leakaudit_service::{eviction_for, CacheKey, FifoBytes, LruBytes, MemoryCache, ResultCache};
+use leakaudit_service::{CacheKey, MemoryCache, ResultCache};
 use proptest::prelude::*;
 
 /// The canonical report of key `k`: content the property can verify
@@ -70,16 +70,9 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 0..120),
         capacity_units in 1u64..6,
         shards in 1usize..5,
-        fifo in any::<bool>(),
     ) {
-        let policy: Arc<dyn leakaudit_service::EvictionPolicy> = if fifo {
-            Arc::new(FifoBytes)
-        } else {
-            Arc::new(LruBytes)
-        };
         let cache = MemoryCache::with_shards(shards)
-            .with_capacity_bytes(capacity_units * weight_unit())
-            .with_policy(policy);
+            .with_capacity_bytes(capacity_units * weight_unit());
         let mut inserted: HashMap<u64, bool> = HashMap::new();
         let (mut gets, mut hits) = (0u64, 0u64);
         for op in &ops {
@@ -112,9 +105,7 @@ proptest! {
             proptest::collection::vec(op_strategy(), 1..40), 4),
         capacity_units in 1u64..4,
     ) {
-        let cache = MemoryCache::with_shards(2)
-            .with_capacity_bytes(capacity_units * weight_unit())
-            .with_policy(eviction_for(leakaudit_cache::Policy::Lru));
+        let cache = MemoryCache::with_shards(2).with_capacity_bytes(capacity_units * weight_unit());
         std::thread::scope(|scope| {
             for ops in &per_thread {
                 let cache = &cache;

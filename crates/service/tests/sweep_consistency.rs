@@ -224,7 +224,7 @@ fn submitted_tickets_report_progress_and_collect_once() {
 }
 
 #[test]
-fn eviction_forced_recomputation_stays_bit_identical() {
+fn recomputation_after_eviction_stays_bit_identical() {
     let registry = Registry::from_specs(vec![
         ScenarioSpec::new(
             FamilyParams::SquareMultiply {
@@ -253,7 +253,7 @@ fn eviction_forced_recomputation_stays_bit_identical() {
     ]);
     // A cache too small to hold even one report: every warm cell is
     // recomputed — the worst case for consistency.
-    let starved = SweepEngine::new().with_eviction(64, leakaudit_cache::Policy::Lru);
+    let starved = SweepEngine::new().with_eviction(64);
     let cold = starved.run(&registry);
     let warm = starved.run(&registry);
     assert!(
@@ -275,7 +275,7 @@ fn eviction_forced_recomputation_stays_bit_identical() {
         assert_cells_identical(c, u);
     }
     // A roomy evicting cache behaves like the unbounded one.
-    let roomy = SweepEngine::new().with_eviction(1 << 20, leakaudit_cache::Policy::Lru);
+    let roomy = SweepEngine::new().with_eviction(1 << 20);
     roomy.run(&registry);
     let roomy_warm = roomy.run(&registry);
     assert_eq!(roomy_warm.computed(), 0, "no spurious eviction under room");

@@ -1,10 +1,11 @@
 //! The parallel batch pipeline must be a pure optimization: running all
-//! eight case-study scenarios through `BatchAnalysis` (parallel across
-//! scenarios) must produce `LeakReport` rows **bit-identical** to calling
-//! `Scenario::analyze` sequentially — same specs, same exact big-number
-//! counts, same f64 bits, same row order.
+//! eight case-study scenarios through `scenarios::analyze_all` (the
+//! daemon's `Executor`, parallel across scenarios) must produce
+//! `LeakReport` rows **bit-identical** to calling `Scenario::analyze`
+//! sequentially — same specs, same exact big-number counts, same f64
+//! bits, same row order.
 
-use leakaudit::analyzer::{BatchAnalysis, BatchJob};
+use leakaudit::analyzer::{BatchReport, Executor};
 use leakaudit::scenarios::{self, Scenario};
 
 #[test]
@@ -44,11 +45,12 @@ fn batch_over_all_scenarios_is_bit_identical_to_sequential() {
 #[test]
 fn single_worker_batch_matches_parallel_batch() {
     let scenarios: Vec<Scenario> = scenarios::all().into_iter().take(3).collect();
-    fn jobs(list: &[Scenario]) -> Vec<BatchJob<'_>> {
-        list.iter().map(Scenario::batch_job).collect()
-    }
-    let parallel = BatchAnalysis::new().run(jobs(&scenarios));
-    let sequential = BatchAnalysis::new().with_threads(1).run(jobs(&scenarios));
+    let run = |threads: usize| -> BatchReport {
+        let jobs = scenarios.iter().map(Scenario::batch_job).collect();
+        Executor::with_threads(threads).submit(jobs).wait()
+    };
+    let (parallel, sequential) = (run(2), run(1));
+    assert_eq!(parallel.outcomes().len(), sequential.outcomes().len());
     for (p, q) in parallel.outcomes().iter().zip(sequential.outcomes()) {
         assert_eq!(p.name, q.name);
         let (pr, qr) = (p.result.as_ref().unwrap(), q.result.as_ref().unwrap());

@@ -3,9 +3,9 @@
 //! fractional values (5.6 = log2 50, 2.3 = log2 5) and the CacheBleed
 //! bank-trace bounds.
 //!
-//! All reports come out of one parallel `BatchAnalysis` run — the
-//! production path — so this suite doubles as a regression net for the
-//! batch pipeline itself.
+//! All reports come out of one `scenarios::analyze_all` batch on the
+//! `Executor` — the runner every sweep and daemon request uses — so this
+//! suite doubles as a regression net for the batch pipeline itself.
 
 use leakaudit::analyzer::LeakReport;
 use leakaudit::core::Observer;
