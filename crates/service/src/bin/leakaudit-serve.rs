@@ -8,17 +8,14 @@
 //! ```text
 //! leakaudit-serve [--stdio] [--tcp ADDR:PORT] [--cache-dir DIR]
 //!                 [--capacity-bytes N] [--threads N]
-//! leakaudit-serve migrate --cache-dir DIR
 //! ```
 //!
-//! * `--cache-dir DIR`: attach the on-disk store (sharded
-//!   `ab/cd/<key>.json` layout; PR-3 flat entries are read and
-//!   re-sharded transparently).
+//! * `--cache-dir DIR`: attach the on-disk store (one checksummed
+//!   `leakaudit-result/v2` entry per `ab/cd/<key>.json` file; entries of
+//!   any other schema read as misses and are overwritten when recomputed).
 //! * `--capacity-bytes N`: bound the in-memory cache, evicting the
 //!   least-recently-used entries (default unbounded).
 //! * `--threads N`: executor worker count (default: all cores).
-//! * `migrate`: one-shot move of every flat-layout disk entry into the
-//!   sharded layout, then exit.
 //!
 //! Example session (stdio; `stream` pushes one line per cell as each
 //! analysis lands, `submit_sweep` takes an optional per-request
@@ -40,21 +37,19 @@
 use std::io::{BufRead, BufReader, Write};
 use std::sync::Arc;
 
-use leakaudit_service::{Daemon, DiskCache, SweepEngine};
+use leakaudit_service::{Daemon, SweepEngine};
 
 struct Args {
     tcp: Option<String>,
     cache_dir: Option<String>,
     capacity_bytes: Option<u64>,
     threads: Option<usize>,
-    migrate: bool,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: leakaudit-serve [--stdio] [--tcp ADDR:PORT] [--cache-dir DIR]\n\
-         \x20                      [--capacity-bytes N] [--threads N]\n\
-         \x20      leakaudit-serve migrate --cache-dir DIR"
+         \x20                      [--capacity-bytes N] [--threads N]"
     );
     std::process::exit(2);
 }
@@ -65,7 +60,6 @@ fn parse_args() -> Args {
         cache_dir: None,
         capacity_bytes: None,
         threads: None,
-        migrate: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -76,7 +70,6 @@ fn parse_args() -> Args {
             })
         };
         match a.as_str() {
-            "migrate" => args.migrate = true,
             "--stdio" => args.tcp = None,
             "--tcp" => args.tcp = Some(value_of("--tcp")),
             "--cache-dir" => args.cache_dir = Some(value_of("--cache-dir")),
@@ -99,32 +92,6 @@ fn parse_args() -> Args {
 
 fn main() {
     let args = parse_args();
-
-    if args.migrate {
-        let Some(dir) = &args.cache_dir else {
-            eprintln!("migrate requires --cache-dir");
-            usage();
-        };
-        let cache = DiskCache::open(dir).unwrap_or_else(|e| {
-            eprintln!("cannot open cache dir {dir}: {e}");
-            std::process::exit(1);
-        });
-        match cache.migrate() {
-            Ok(moved) => {
-                println!(
-                    "migrated {moved} entries to the sharded layout \
-                     ({} sharded, {} flat remaining)",
-                    cache.sharded_len(),
-                    cache.flat_len()
-                );
-            }
-            Err(e) => {
-                eprintln!("migration failed: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
 
     let mut engine = SweepEngine::new();
     if let Some(threads) = args.threads {

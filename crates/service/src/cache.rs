@@ -5,8 +5,9 @@
 //! so cache entries are `Arc`-shared: a hit hands out the same report
 //! the first computation produced, and "bit-identical" is trivially
 //! true for in-memory hits. Disk entries round-trip through an explicit
-//! JSON encoding whose exactness is pinned by tests (counts as hex
-//! big-numbers, bits as shortest-round-trip floats).
+//! JSON encoding whose exactness is pinned by tests: rows in the daemon's
+//! wire spelling (counts as hex big-numbers, bits as shortest-round-trip
+//! numbers) under a checksum over the whole entry.
 //!
 //! # Sharding and eviction
 //!
@@ -18,33 +19,29 @@
 //! budget per shard, evicting the least-recently-used entries.
 //! [`DiskCache`] fans entries out into `ab/cd/<key>.json`
 //! subdirectories — flat directories stop scaling past a few thousand
-//! files — while transparently reading (and re-sharding) entries
-//! written in the PR-3 flat layout.
+//! files.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use leakaudit_analyzer::{Channel, LeakReport, LeakRow, ObserverSpec};
-use leakaudit_core::{Observer, TraceDag};
+use leakaudit_core::{Fingerprint, FingerprintHasher, Observer, TraceDag};
 use leakaudit_mpi::Natural;
 
 use crate::key::CacheKey;
 
-/// Schema tag of the on-disk entry format.
-const RESULT_SCHEMA: &str = "leakaudit-result/v1";
+/// Schema tag of the on-disk entry format, and the domain tag of its
+/// checksum.
+///
+/// v2: rows in the wire spelling (`"bits":1`, not `1.0`) and a closing
+/// checksum line; a v1 entry is a miss.
+const RESULT_SCHEMA: &str = "leakaudit-result/v2";
 
-/// A store of analysis results addressed by [`CacheKey`].
-pub trait ResultCache {
-    /// Looks a report up.
-    fn get(&self, key: &CacheKey) -> Option<Arc<LeakReport>>;
-
-    /// Stores a report (last write wins; identical content either way).
-    fn put(&self, key: CacheKey, report: Arc<LeakReport>);
-}
+/// The start of an entry's closing checksum line.
+const CHECKSUM_LINE: &str = "  \"checksum\": \"";
 
 /// Hit/miss/eviction counters of a cache front-end.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -192,10 +189,9 @@ impl MemoryCache {
     fn tick(&self) -> u64 {
         self.clock.fetch_add(1, Ordering::Relaxed)
     }
-}
 
-impl ResultCache for MemoryCache {
-    fn get(&self, key: &CacheKey) -> Option<Arc<LeakReport>> {
+    /// Looks a report up, counting the hit or miss.
+    pub fn get(&self, key: &CacheKey) -> Option<Arc<LeakReport>> {
         let now = self.tick();
         let mut shard = self.shard(key).lock().expect("cache poisoned");
         let found = shard.map.get_mut(key).map(|entry| {
@@ -210,7 +206,9 @@ impl ResultCache for MemoryCache {
         found
     }
 
-    fn put(&self, key: CacheKey, report: Arc<LeakReport>) {
+    /// Stores a report (last write wins; identical content either way),
+    /// evicting least-recently-used entries past the shard's budget.
+    pub fn put(&self, key: CacheKey, report: Arc<LeakReport>) {
         let now = self.tick();
         let weight = report_weight(&report);
         let mut shard = self.shard(&key).lock().expect("cache poisoned");
@@ -247,10 +245,8 @@ impl ResultCache for MemoryCache {
 /// Writes are best-effort (a full disk degrades the store to a smaller
 /// cache, never to an error in the sweep); reads treat unparsable files
 /// as misses, so a corrupted entry costs a re-analysis, not a panic.
-/// Entries written by the PR-3 flat layout (`<key-hex>.json` directly
-/// in the directory) stay readable: a flat hit is served, rewritten
-/// into the sharded layout, and the flat file removed — or migrate the
-/// whole store at once with [`DiskCache::migrate`].
+/// Entries of another schema version — among them every
+/// `leakaudit-result/v1` entry — are misses too.
 #[derive(Debug)]
 pub struct DiskCache {
     dir: PathBuf,
@@ -268,29 +264,8 @@ impl DiskCache {
         Ok(DiskCache { dir })
     }
 
-    /// The cache directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Number of (syntactically plausible) entries on disk, flat and
-    /// sharded layouts combined.
+    /// Number of entry files in the `ab/cd/` layout.
     pub fn len(&self) -> usize {
-        self.flat_len() + self.sharded_len()
-    }
-
-    /// `true` when no entries are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Entries still in the PR-3 flat layout.
-    pub fn flat_len(&self) -> usize {
-        count_json(&self.dir)
-    }
-
-    /// Entries in the sharded `ab/cd/` layout.
-    pub fn sharded_len(&self) -> usize {
         let Ok(level1) = std::fs::read_dir(&self.dir) else {
             return 0;
         };
@@ -303,41 +278,29 @@ impl DiskCache {
             .sum()
     }
 
-    /// Moves every flat-layout entry into the sharded layout, returning
-    /// how many were moved. Safe to run on a live store (entry files
-    /// are renamed one by one; readers fall back between layouts).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first I/O error; already-moved entries stay moved.
-    pub fn migrate(&self) -> std::io::Result<usize> {
-        let mut moved = 0;
-        for entry in std::fs::read_dir(&self.dir)?.flatten() {
-            let path = entry.path();
-            let Some(key) = key_of_flat_entry(&path) else {
-                continue;
-            };
-            let target = self.sharded_path(&key);
-            std::fs::create_dir_all(target.parent().expect("sharded path has a parent"))?;
-            std::fs::rename(&path, &target)?;
-            moved += 1;
-        }
-        Ok(moved)
+    /// `true` when no entries are stored.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Looks a report up; a missing, unreadable or undecodable entry is
+    /// a miss.
+    pub fn get(&self, key: &CacheKey) -> Option<Arc<LeakReport>> {
+        let text = std::fs::read_to_string(self.path(key)).ok()?;
+        decode_report(&text).map(Arc::new)
     }
 
     /// Stores a whole collected sweep in two phases: every entry is
     /// first written to its sideways `.json.tmp` file, then all the
-    /// renames happen back to back. The visible effect is identical to
-    /// calling [`ResultCache::put`] per entry, but the metadata churn
-    /// (directory creation, rename barriers) batches at the end of the
-    /// sweep instead of interleaving with result collection — and a
-    /// crash mid-batch leaves only ignorable `.tmp` litter, never a
-    /// torn entry. Best-effort like `put`: errors degrade to a smaller
-    /// cache.
+    /// renames happen back to back. The metadata churn (directory
+    /// creation, rename barriers) batches at the end of the sweep
+    /// instead of interleaving with result collection — and a crash
+    /// mid-batch leaves only ignorable `.tmp` litter, never a torn
+    /// entry. Best-effort: errors degrade to a smaller cache.
     pub fn put_many<'a>(&self, entries: impl IntoIterator<Item = (CacheKey, &'a LeakReport)>) {
         let mut staged: Vec<(PathBuf, PathBuf)> = Vec::new();
         for (key, report) in entries {
-            let path = self.sharded_path(&key);
+            let path = self.path(&key);
             let Some(parent) = path.parent() else {
                 continue;
             };
@@ -354,16 +317,12 @@ impl DiskCache {
         }
     }
 
-    fn sharded_path(&self, key: &CacheKey) -> PathBuf {
+    fn path(&self, key: &CacheKey) -> PathBuf {
         let hex = key.to_hex();
         self.dir
             .join(&hex[0..2])
             .join(&hex[2..4])
             .join(format!("{hex}.json"))
-    }
-
-    fn flat_path(&self, key: &CacheKey) -> PathBuf {
-        self.dir.join(format!("{}.json", key.to_hex()))
     }
 }
 
@@ -389,80 +348,37 @@ fn count_json(dir: &Path) -> usize {
         .count()
 }
 
-/// The key encoded in a flat-layout entry file name, if this is one.
-fn key_of_flat_entry(path: &Path) -> Option<CacheKey> {
-    if !path.is_file() || path.extension()? != "json" {
-        return None;
-    }
-    CacheKey::from_hex(path.file_stem()?.to_str()?)
-}
-
-impl ResultCache for DiskCache {
-    fn get(&self, key: &CacheKey) -> Option<Arc<LeakReport>> {
-        if let Ok(text) = std::fs::read_to_string(self.sharded_path(key)) {
-            return decode_report(&text).map(Arc::new);
-        }
-        // Flat-layout fallback: serve the hit, then re-shard it so the
-        // next lookup (and `len`) sees the new layout.
-        let flat = self.flat_path(key);
-        let text = std::fs::read_to_string(&flat).ok()?;
-        let report = decode_report(&text).map(Arc::new)?;
-        self.put(*key, Arc::clone(&report));
-        let _ = std::fs::remove_file(&flat);
-        Some(report)
-    }
-
-    fn put(&self, key: CacheKey, report: Arc<LeakReport>) {
-        let path = self.sharded_path(&key);
-        let Some(parent) = path.parent() else { return };
-        if std::fs::create_dir_all(parent).is_err() {
-            return;
-        }
-        let tmp = path.with_extension("json.tmp");
-        // Atomic-enough: write sideways, then rename over.
-        if std::fs::write(&tmp, encode_report(&report)).is_ok() {
-            let _ = std::fs::rename(&tmp, &path);
-        }
-    }
-}
-
-/// Encodes a report as the `leakaudit-result/v1` JSON document: one
-/// row object per line, counts as hex big-numbers, bits via the
-/// shortest float representation that round-trips.
+/// Encodes a report as the `leakaudit-result/v2` JSON document: one
+/// row per line in the wire spelling ([`encode_row`]), closed by a
+/// `"checksum"` line holding the [`Fingerprint`] of every byte before it.
 pub fn encode_report(report: &LeakReport) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"{RESULT_SCHEMA}\",");
-    let _ = writeln!(out, "  \"rows\": [");
-    let rows = report.rows();
-    for (i, row) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(out, "    {}{comma}", encode_row(row));
+    let mut out = header();
+    for (i, row) in report.rows().iter().enumerate() {
+        out.push_str(if i == 0 { "    " } else { ",\n    " });
+        write_wire_row(&mut out, row).expect("writing to a String cannot fail");
     }
-    out.push_str("  ]\n}\n");
+    out.push_str("\n  ],\n");
+    let sum = checksum(&out);
+    out.push_str(CHECKSUM_LINE);
+    out.push_str(&sum.to_hex());
+    out.push_str("\"\n}\n");
     out
 }
 
-/// Encodes one row as a flat JSON object, the line format of
-/// [`encode_report`]. `bits` is spelled as Rust's shortest round-trip
-/// float (`1.0`, `2.321928094887362`). Daemon wire rows share the
-/// field order but spell an integral `bits` as an integer (`1`);
-/// [`decode_row`] reads both.
+/// Encodes one row as a flat JSON object: the line format of
+/// [`encode_report`] and the `rows` elements of a daemon cell, with
+/// `bits` as the shortest number that round-trips (`1`,
+/// `2.321928094887362`).
 pub fn encode_row(row: &LeakRow) -> String {
-    format!(
-        "{{\"channel\":{},\"offset_bits\":{},\"stuttering\":{},\
-         \"count_hex\":\"{}\",\"bits\":{:?}}}",
-        row.spec.channel.code(),
-        row.spec.observer.offset_bits(),
-        u8::from(row.spec.observer.is_stuttering()),
-        row.count.to_hex(),
-        row.bits,
-    )
+    let mut out = String::new();
+    write_wire_row(&mut out, row).expect("writing to a String cannot fail");
+    out
 }
 
-/// Appends one row as the daemon's wire protocol spells it: the
-/// [`encode_row`] fields in the same order, with `bits` in the
-/// protocol's number spelling (integral values without a fraction).
+/// Appends one row in the [`encode_row`] spelling — the only row
+/// formatter, shared by disk entries and daemon responses.
 pub(crate) fn write_wire_row(out: &mut String, row: &LeakRow) -> fmt::Result {
+    use fmt::Write as _;
     write!(
         out,
         "{{\"channel\":{},\"offset_bits\":{},\"stuttering\":{},\"count_hex\":\"{}\",\"bits\":",
@@ -476,57 +392,47 @@ pub(crate) fn write_wire_row(out: &mut String, row: &LeakRow) -> fmt::Result {
     Ok(())
 }
 
-/// Decodes [`encode_report`]'s format. `None` on any structural or
-/// field-level mismatch (treated as a cache miss by callers): an entry
-/// is served whole and right, or not at all.
+/// An entry's text before its first row.
+fn header() -> String {
+    format!("{{\n  \"schema\": \"{RESULT_SCHEMA}\",\n  \"rows\": [\n")
+}
+
+/// The checksum of an entry's text up to its checksum line.
+fn checksum(body: &str) -> Fingerprint {
+    let mut h = FingerprintHasher::new(RESULT_SCHEMA);
+    h.write_str(body);
+    h.finish()
+}
+
+/// Decodes [`encode_report`]'s format. `None` on any mismatch (treated
+/// as a cache miss by callers): an entry is served whole and right, or
+/// not at all.
 ///
-/// - The schema line must name exactly `leakaudit-result/v1`; a document of
-///   another version (`leakaudit-result/v10` included) is a miss.
-/// - Every line between `"rows": [` and `]` must be one whole `{…}` row
-///   object that decodes, so a damaged row line cannot silently drop
-///   out of the report.
-/// - A row's `bits` must be bit-identical to
-///   [`TraceDag::bits_for_count`] of its count — the way every
-///   production row is built — so damage to the count or bits field that
-///   still parses is caught whenever it changes `log2(count)` as an
-///   `f64`. Damage below that precision is not: a flipped low-order
-///   digit of a count above about 2^53 leaves the `f64` logarithm, and
-///   so the check, unchanged.
-/// - A document cut short — the torn file a crash between write and
-///   rename can leave behind — is a mismatch too: the closing `]` and
-///   `}` lines and the final newline must be present, and only the last
-///   row may lack its trailing comma, so no proper prefix of a valid
-///   document decodes.
+/// - The last line but one must carry the checksum of every byte before
+///   it. Damage anywhere — a flipped digit of a count above 2^53 that
+///   no `f64` check could see, a torn file cut short by a crash between
+///   write and rename — fails it.
+/// - The header must name exactly `leakaudit-result/v2`; a document of
+///   another version (`v1`, `v20`) is a miss.
+/// - Every row line must decode, and its `bits` must be bit-identical
+///   to [`TraceDag::bits_for_count`] of its count — the way every
+///   production row is built.
 pub fn decode_report(text: &str) -> Option<LeakReport> {
-    let schema_line = format!("\"schema\": \"{RESULT_SCHEMA}\",");
-    let mut lines: Vec<&str> = text.strip_suffix('\n')?.lines().map(str::trim).collect();
-    if lines.pop()? != "}" || lines.pop()? != "]" {
+    let (body, tail) = text.split_at(text.rfind(CHECKSUM_LINE)?);
+    let sum = tail[CHECKSUM_LINE.len()..].strip_suffix("\"\n}\n")?;
+    if Fingerprint::from_hex(sum)? != checksum(body) {
         return None;
     }
-    let row_lines = match lines.as_slice() {
-        ["{", schema, "\"rows\": [", rows @ ..] if *schema == schema_line => rows,
-        _ => return None,
-    };
-    let mut rows = Vec::with_capacity(row_lines.len());
-    for (i, line) in row_lines.iter().enumerate() {
-        let last = i + 1 == row_lines.len();
-        let row = match line.strip_suffix(',') {
-            Some(row) if !last => row,
-            None if last => line,
-            _ => return None,
-        };
-        if !(row.starts_with('{') && row.ends_with('}')) {
-            return None;
-        }
-        let row = decode_row(row)?;
-        if row.bits.to_bits() != TraceDag::bits_for_count(&row.count).to_bits() {
-            return None;
-        }
-        rows.push(row);
-    }
-    if rows.is_empty() {
-        return None;
-    }
+    let rows = body
+        .strip_prefix(&header())?
+        .strip_suffix("\n  ],\n")?
+        .split(",\n")
+        .map(|line| {
+            let row = decode_row(line.strip_prefix("    ")?)?;
+            let exact = row.bits.to_bits() == TraceDag::bits_for_count(&row.count).to_bits();
+            exact.then_some(row)
+        })
+        .collect::<Option<Vec<_>>>()?;
     Some(LeakReport::from_rows(rows))
 }
 
@@ -599,7 +505,7 @@ mod tests {
     }
 
     #[test]
-    fn disk_and_wire_rows_spell_integral_bits_differently() {
+    fn disk_and_wire_rows_are_the_same_text() {
         let row = |count: u64, bits: f64| LeakRow {
             spec: ObserverSpec {
                 channel: Channel::Data,
@@ -609,26 +515,21 @@ mod tests {
             bits,
         };
         let head = r#"{"channel":1,"offset_bits":6,"stuttering":1,"count_hex":"#;
-        for (row, disk_bits, wire_bits) in [
-            (row(2, 1.0), "1.0", "1"),
-            (
-                row(5, 5f64.log2()),
-                "2.321928094887362",
-                "2.321928094887362",
-            ),
+        for (row, bits) in [
+            (row(2, 1.0), "1"),
+            (row(5, 5f64.log2()), "2.321928094887362"),
         ] {
             let hex = row.count.to_hex();
             let disk = encode_row(&row);
             let mut wire = String::new();
             write_wire_row(&mut wire, &row).unwrap();
-            assert_eq!(disk, format!(r#"{head}"{hex}","bits":{disk_bits}}}"#));
-            assert_eq!(wire, format!(r#"{head}"{hex}","bits":{wire_bits}}}"#));
-            for text in [&disk, &wire] {
-                let back = decode_row(text).expect("both spellings decode");
-                assert_eq!(back.spec, row.spec);
-                assert_eq!(back.count, row.count);
-                assert_eq!(back.bits.to_bits(), row.bits.to_bits(), "{text}");
-            }
+            assert_eq!(disk, wire);
+            assert_eq!(disk, format!(r#"{head}"{hex}","bits":{bits}}}"#));
+            assert!(encode_report(&LeakReport::from_rows(vec![row.clone()])).contains(&disk));
+            let back = decode_row(&disk).expect("the row decodes");
+            assert_eq!(back.spec, row.spec);
+            assert_eq!(back.count, row.count);
+            assert_eq!(back.bits.to_bits(), row.bits.to_bits(), "{disk}");
         }
     }
 
@@ -710,11 +611,9 @@ mod tests {
         let cache = DiskCache::open(&dir).expect("temp dir");
         let key = CacheKey::from_hex(&"ab".repeat(16)).unwrap();
         assert!(cache.get(&key).is_none());
-        let report = Arc::new(sample_report());
-        cache.put(key, Arc::clone(&report));
+        let report = sample_report();
+        cache.put_many([(key, &report)]);
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.sharded_len(), 1);
-        assert_eq!(cache.flat_len(), 0);
         // The fan-out layout: ab/ab/<key>.json for this key.
         assert!(dir
             .join("ab")
@@ -731,75 +630,39 @@ mod tests {
     }
 
     #[test]
-    fn flat_layout_entries_are_served_and_resharded() {
-        let dir = temp_dir("flat");
-        let cache = DiskCache::open(&dir).expect("temp dir");
-        let key = CacheKey::from_hex(&"cd".repeat(16)).unwrap();
-        let report = sample_report();
-        // Write the PR-3 flat layout by hand.
-        std::fs::write(
-            dir.join(format!("{}.json", key.to_hex())),
-            encode_report(&report),
-        )
-        .unwrap();
-        assert_eq!(cache.flat_len(), 1);
-        let loaded = cache.get(&key).expect("flat entry readable");
-        assert_eq!(loaded.rows().len(), report.rows().len());
-        // Served once, the entry now lives in the sharded layout.
-        assert_eq!(cache.flat_len(), 0);
-        assert_eq!(cache.sharded_len(), 1);
-        assert!(cache.get(&key).is_some());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn migrate_moves_every_flat_entry() {
-        let dir = temp_dir("migrate");
-        let cache = DiskCache::open(&dir).expect("temp dir");
-        let report = sample_report();
-        let keys: Vec<CacheKey> = (0..5).map(key_n).collect();
-        for key in &keys {
-            std::fs::write(
-                dir.join(format!("{}.json", key.to_hex())),
-                encode_report(&report),
-            )
-            .unwrap();
-        }
-        // A stray non-entry file must survive untouched.
-        std::fs::write(dir.join("README.txt"), "not a cache entry").unwrap();
-        assert_eq!(cache.flat_len(), 5);
-        assert_eq!(cache.migrate().expect("migration succeeds"), 5);
-        assert_eq!(cache.flat_len(), 0);
-        assert_eq!(cache.sharded_len(), 5);
-        assert_eq!(cache.migrate().expect("idempotent"), 0);
-        for key in &keys {
-            assert!(cache.get(key).is_some(), "{key} readable after migration");
-        }
-        assert!(dir.join("README.txt").is_file());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn corrupted_entries_read_as_misses() {
         assert!(decode_report("not json").is_none());
-        assert!(decode_report("{\"schema\": \"leakaudit-result/v1\", \"rows\": []}").is_none());
+        assert!(decode_report("{\"schema\": \"leakaudit-result/v2\", \"rows\": []}").is_none());
         let good = encode_report(&sample_report());
         let bad = good.replace("\"count_hex\":\"", "\"count_hex\":\"zz");
         assert!(decode_report(&bad).is_none());
+    }
+
+    /// Rewrites an entry's checksum line to match its (edited) body, as
+    /// a writer of that body would have sealed it.
+    fn reseal(text: &str) -> String {
+        let body = &text[..text.rfind(CHECKSUM_LINE).unwrap()];
+        format!("{body}{CHECKSUM_LINE}{}\"\n}}\n", checksum(body))
     }
 
     #[test]
     fn another_schema_version_is_a_miss() {
         let good = encode_report(&sample_report());
         assert!(decode_report(&good).is_some());
+        assert!(decode_report(&reseal(&good)).is_some());
         for other in [
-            "leakaudit-result/v10",
-            "leakaudit-result/v2",
-            "xleakaudit-result/v1",
+            "leakaudit-result/v20",
+            "leakaudit-result/v1",
+            "xleakaudit-result/v2",
         ] {
-            let text = good.replace(RESULT_SCHEMA, other);
-            assert!(decode_report(&text).is_none(), "{other} decoded as v1");
+            let text = reseal(&good.replace(RESULT_SCHEMA, other));
+            assert!(decode_report(&text).is_none(), "{other} decoded as v2");
         }
+        // An entry as v1 wrote it: no checksum, `bits` spelled `1.0`.
+        let v1 = "{\n  \"schema\": \"leakaudit-result/v1\",\n  \"rows\": [\n    \
+                  {\"channel\":1,\"offset_bits\":6,\"stuttering\":1,\"count_hex\":\"2\",\"bits\":1.0}\n  \
+                  ]\n}\n";
+        assert!(decode_report(v1).is_none());
     }
 
     #[test]
@@ -837,31 +700,30 @@ mod tests {
             .iter()
             .find(|row| row.count.to_u64() == Some(2))
             .expect("the sample has a one-bit row");
-        // One flipped digit: count 2 -> 3 still parses, but 1.0 bits is
-        // no longer log2 of it.
+        // One flipped digit: count 2 -> 3 still parses, but 1 bit is no
+        // longer log2 of it. Resealed, the checksum passes and the
+        // count/bits check alone must reject the row.
         let line = encode_row(row);
         let flipped = line.replace("\"count_hex\":\"2\"", "\"count_hex\":\"3\"");
         assert_ne!(line, flipped);
         let text = good.replacen(&line, &flipped, 1);
         assert!(decode_report(&text).is_none());
+        assert!(decode_report(&reseal(&text)).is_none());
     }
 
     #[test]
-    fn a_low_digit_flip_beyond_f64_precision_still_decodes() {
+    fn a_low_digit_flip_beyond_f64_precision_is_a_miss() {
         // The count/bits check only sees damage that moves log2(count) as
-        // an f64. Above about 2^53 a low-order digit does not: this entry
-        // is served with the wrong count.
+        // an f64. Above about 2^53 a low-order digit does not: the
+        // checksum is what turns this entry into a miss.
         let mut row = sample_report().rows()[0].clone();
         row.count = Natural::from_hex("2000000000000010").unwrap();
         row.bits = TraceDag::bits_for_count(&row.count);
         let text = encode_report(&LeakReport::from_rows(vec![row]));
+        assert!(decode_report(&text).is_some());
         let flipped = text.replace("2000000000000010", "2000000000000011");
         assert_ne!(text, flipped);
-        let decoded = decode_report(&flipped).expect("the flip is invisible to the check");
-        assert_eq!(
-            decoded.rows()[0].count,
-            Natural::from_hex("2000000000000011").unwrap()
-        );
+        assert!(decode_report(&flipped).is_none(), "wrong count served");
     }
 
     #[test]
@@ -885,8 +747,8 @@ mod tests {
         let dir = temp_dir("torn");
         let cache = DiskCache::open(&dir).unwrap();
         let key = key_n(7);
-        cache.put(key, Arc::new(sample_report()));
-        let path = cache.sharded_path(&key);
+        cache.put_many([(key, &sample_report())]);
+        let path = cache.path(&key);
         let text = std::fs::read_to_string(&path).unwrap();
         // Cut after the third row line, as a crash at a row boundary
         // would leave the file.

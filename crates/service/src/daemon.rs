@@ -41,11 +41,10 @@
 //!
 //! Scenario specs travel as their stable id strings
 //! (`ScenarioSpec::id`, parsed back via `FromStr`); leakage rows carry
-//! the result-cache row fields in the same order (counts as hex
-//! big-numbers, bounds as shortest-round-trip floats), except that an
-//! integral bound is spelled without a fraction (`"bits":1` on the
-//! wire, `"bits":1.0` on disk). Two responses — and the per-cell lines
-//! of a `stream` — are bit-comparable as text.
+//! exactly the text of the result-cache rows (counts as hex
+//! big-numbers, bounds as the shortest number that round-trips, so an
+//! integral bound is `"bits":1` on the wire and on disk). Two responses
+//! — and the per-cell lines of a `stream` — are bit-comparable as text.
 //!
 //! `stats` carries an `ops` table with, per op, the request count,
 //! cumulative handling time (`us`) and response bytes; `result` and
@@ -240,9 +239,8 @@ impl Daemon {
     /// Handles one parsed single-response request (every op except
     /// `stream`, which needs [`Daemon::handle_line_into`]'s emitter and
     /// answers an error here). A `result` response carries its `cells`
-    /// as pre-rendered text ([`Json::Raw`]): print it, or parse the
-    /// printed text to inspect the cells.
-    pub fn handle(&self, request: &Json) -> Json {
+    /// as pre-rendered text ([`Json::Raw`]).
+    fn handle(&self, request: &Json) -> Json {
         let Some(op) = request.get("op").and_then(Json::as_str) else {
             return error_response("missing \"op\" field");
         };

@@ -69,7 +69,7 @@ pub mod key;
 pub mod proto;
 pub mod sweep;
 
-pub use cache::{CacheStats, DiskCache, MemoryCache, ResultCache};
+pub use cache::{CacheStats, DiskCache, MemoryCache};
 pub use daemon::Daemon;
 pub use key::{BaseKey, CacheKey, GroupKey};
 pub use proto::Json;

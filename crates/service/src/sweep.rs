@@ -39,7 +39,7 @@ use leakaudit_analyzer::{
 use leakaudit_cache::{CacheConfig, CycleModel, Hierarchy, Policy};
 use leakaudit_scenarios::{Registry, Scenario, ScenarioSpec};
 
-use crate::cache::{CacheStats, DiskCache, MemoryCache, ResultCache};
+use crate::cache::{CacheStats, DiskCache, MemoryCache};
 use crate::key::{BaseKey, CacheKey, GroupKey};
 
 /// Per-request analysis overrides: the client-facing half of an audit
