@@ -11,17 +11,21 @@
 //! submit [`OwnedJob`]s to it and collect one [`BatchOutcome`] per job
 //! (report or error, plus wall-clock timing) through a [`BatchTicket`].
 //!
-//! Parallelism lives at this level only: across jobs, workers pull from
-//! a shared queue. Within one job, the engine's single
-//! abstract-interpretation pass feeds every observer sink of the suite
-//! on the job's own thread (see [`crate::sink`]), and decoded
-//! instructions are shared across all configurations of the run. Each
-//! job still computes exactly the Theorem 1 bounds a sequential
-//! [`Analysis::run`] would: the batch-consistency integration suite
-//! asserts the reports are bit-identical.
+//! Parallelism lives at this level: across jobs, workers pull from a
+//! shared queue. Within one job, the engine's single
+//! abstract-interpretation pass feeds every observer sink of the suite,
+//! and decoded instructions are shared across all configurations of the
+//! run. The one exception is a spare core: a worker that pops the last
+//! queued job while another worker has no job lets that job's trace
+//! replay run on a helper thread, overlapping its interpretation (see
+//! [`crate::sink::run_pipeline`]). While jobs queue, every worker
+//! replays on its own thread. Each job still computes exactly the
+//! Theorem 1 bounds a sequential [`Analysis::run`] would: the
+//! batch-consistency integration suite asserts the reports are
+//! bit-identical on both paths.
 
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -107,10 +111,10 @@ pub struct OwnedJob {
     /// The shared target to analyze.
     pub target: Arc<dyn AnalysisTarget + Send + Sync>,
     /// Additional interpretation-group member configs. When non-empty,
-    /// the worker runs [`Analysis::run_union`] with `config` as the
-    /// group lead, so the outcome's report carries the union observer
-    /// suite; empty (the default) takes the plain [`Analysis::run`]
-    /// path, byte-for-byte the pre-group behavior.
+    /// the worker computes what [`Analysis::run_union`] would with
+    /// `config` as the group lead, so the outcome's report carries the
+    /// union observer suite; empty (the default) gives exactly the
+    /// report of [`Analysis::run`].
     pub members: Vec<AnalysisConfig>,
 }
 
@@ -366,6 +370,12 @@ impl Ord for WorkItem {
 struct JobQueue {
     heap: BinaryHeap<WorkItem>,
     shutdown: bool,
+    /// Jobs a worker has popped and not yet finished — the "currently
+    /// analyzing" depth a `stats` request reports.
+    running: usize,
+    /// Running jobs allowed a replay helper, each holding the core of
+    /// one worker that has no job.
+    lent: usize,
 }
 
 /// Shared interior of the executor.
@@ -373,9 +383,8 @@ struct ExecutorShared {
     queue: Mutex<JobQueue>,
     work_ready: Condvar,
     seq: AtomicU64,
-    /// Jobs a worker has popped and not yet recorded an outcome for —
-    /// the "currently analyzing" depth a `stats` request reports.
-    in_flight: AtomicUsize,
+    /// Pool size: the cores the executor may occupy.
+    workers: usize,
     /// Completed analyses contributing to the phase totals below.
     runs: AtomicU64,
     /// Cumulative interpretation time, in nanoseconds.
@@ -387,6 +396,8 @@ struct ExecutorShared {
     /// Cumulative interpreter-memo counters (see [`crate::MemoStats`]).
     transfer_hits: AtomicU64,
     transfer_misses: AtomicU64,
+    /// Completed analyses whose replay ran on a helper thread.
+    offloaded: AtomicU64,
 }
 
 impl ExecutorShared {
@@ -404,6 +415,9 @@ impl ExecutorShared {
             .fetch_add(m.transfer_hits, Ordering::Relaxed);
         self.transfer_misses
             .fetch_add(m.transfer_misses, Ordering::Relaxed);
+        if report.offloaded() {
+            self.offloaded.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -456,16 +470,19 @@ impl Executor {
             queue: Mutex::new(JobQueue {
                 heap: BinaryHeap::new(),
                 shutdown: false,
+                running: 0,
+                lent: 0,
             }),
             work_ready: Condvar::new(),
             seq: AtomicU64::new(0),
-            in_flight: AtomicUsize::new(0),
+            workers: threads,
             runs: AtomicU64::new(0),
             interpret_ns: AtomicU64::new(0),
             replay_ns: AtomicU64::new(0),
             count_ns: AtomicU64::new(0),
             transfer_hits: AtomicU64::new(0),
             transfer_misses: AtomicU64::new(0),
+            offloaded: AtomicU64::new(0),
         });
         let workers = (0..threads)
             .map(|_| {
@@ -493,7 +510,11 @@ impl Executor {
 
     /// Jobs currently being analyzed by a worker.
     pub fn in_flight(&self) -> usize {
-        self.shared.in_flight.load(Ordering::Relaxed)
+        self.shared
+            .queue
+            .lock()
+            .expect("job queue poisoned")
+            .running
     }
 
     /// Cumulative per-phase analysis time over this executor's lifetime
@@ -517,6 +538,13 @@ impl Executor {
             transfer_misses: self.shared.transfer_misses.load(Ordering::Relaxed),
             ..crate::MemoStats::default()
         }
+    }
+
+    /// Successful analyses whose trace replay ran on a helper thread
+    /// because another worker had no job (same scope as
+    /// [`Executor::phase_totals`]). Always 0 on a one-worker executor.
+    pub fn offloaded(&self) -> u64 {
+        self.shared.offloaded.load(Ordering::Relaxed)
     }
 
     /// Submits one batch; its items join the shared queue immediately.
@@ -577,7 +605,7 @@ impl Drop for Executor {
 
 /// The panic payload as text, when it was one of the string types
 /// `panic!` produces.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -589,11 +617,19 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 fn worker_loop(shared: &ExecutorShared) {
     loop {
-        let item = {
+        let (item, offload) = {
             let mut queue = shared.queue.lock().expect("job queue poisoned");
             loop {
                 if let Some(item) = queue.heap.pop() {
-                    break item;
+                    queue.running += 1;
+                    // A helper may take this job's replay only when no
+                    // other job waits for a worker and some worker's
+                    // core is neither running a job nor lent to another
+                    // job's helper.
+                    let offload =
+                        queue.heap.is_empty() && queue.running + queue.lent < shared.workers;
+                    queue.lent += usize::from(offload);
+                    break (item, offload);
                 }
                 if queue.shutdown {
                     return;
@@ -601,7 +637,6 @@ fn worker_loop(shared: &ExecutorShared) {
                 queue = shared.work_ready.wait(queue).expect("job queue poisoned");
             }
         };
-        shared.in_flight.fetch_add(1, Ordering::Relaxed);
         let outcome = if item.state.cancelled.load(Ordering::Relaxed) {
             item.state.cancelled_outcome(item.index)
         } else {
@@ -611,12 +646,11 @@ fn worker_loop(shared: &ExecutorShared) {
             // record an outcome, hanging every wait on the batch and
             // shrinking the pool.
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let analysis = Analysis::new(job.config.clone());
-                if job.members.is_empty() {
-                    analysis.run(&job.target.as_ref())
-                } else {
-                    analysis.run_union(&job.members, &job.target.as_ref())
-                }
+                Analysis::new(job.config.clone()).run_group(
+                    &job.members,
+                    &job.target.as_ref(),
+                    offload,
+                )
             }))
             .unwrap_or_else(|payload| {
                 Err(AnalysisError::Panicked {
@@ -632,8 +666,14 @@ fn worker_loop(shared: &ExecutorShared) {
                 elapsed: started.elapsed(),
             }
         };
+        {
+            // Free the core before publishing the outcome, so a caller
+            // that submits its next job on seeing this one finds it free.
+            let mut queue = shared.queue.lock().expect("job queue poisoned");
+            queue.running -= 1;
+            queue.lent -= usize::from(offload);
+        }
         item.state.record(item.index, outcome);
-        shared.in_flight.fetch_sub(1, Ordering::Relaxed);
     }
 }
 

@@ -17,7 +17,10 @@
 //! event stream and replays it through each sink a chunk at a time: the
 //! full observer suite (18 specs by default) costs one abstract pass
 //! plus chunked bookkeeping, rather than 18 cursor updates interleaved
-//! into every scheduler step.
+//! into every scheduler step. Because the stream flows one way, the
+//! chunks can also replay on a helper thread while the scheduler keeps
+//! interpreting; the executor asks for that only when a worker's core
+//! would otherwise sit idle, and the public entry points replay inline.
 
 use leakaudit_x86::Program;
 
@@ -82,11 +85,16 @@ fn reorder_rows(mut rows: Vec<LeakRow>, suite: &[ObserverSpec]) -> Vec<LeakRow> 
 /// union's sinks are grouped per granularity, each distinct address set
 /// projects once per granularity per *pass*, however many member suites
 /// requested it.
+///
+/// `offload` lets the pipeline replay on a helper thread while this one
+/// interprets (see [`sink::run_pipeline`]); the executor sets it only
+/// when another worker has no job, and the rows are the same either way.
 pub(crate) fn run_union(
     lead: &AnalysisConfig,
     members: &[AnalysisConfig],
     program: &Program,
     init: &InitState,
+    offload: bool,
 ) -> Result<LeakReport, AnalysisError> {
     let mut union: Vec<ObserverSpec> = lead.observer_suite();
     for member in members {
@@ -98,12 +106,13 @@ pub(crate) fn run_union(
     }
     let sinks = class_sinks(&union);
     let mut memo = MemoStats::default();
-    let (rows, timings) = sink::run_pipeline(sinks, |bus| {
+    let (rows, timings, offloaded) = sink::run_pipeline(sinks, offload, |bus| {
         scheduler::drive(lead, program, init, bus, &mut memo)
     })?;
     Ok(LeakReport::new(reorder_rows(rows, &union))
         .with_timings(timings)
-        .with_memo(memo))
+        .with_memo(memo)
+        .with_offloaded(offloaded))
 }
 
 #[cfg(test)]
@@ -284,6 +293,44 @@ mod tests {
         .run(&input)
         .unwrap_err();
         assert!(matches!(err, AnalysisError::OutOfFuel { fuel: 100 }));
+    }
+
+    #[test]
+    fn a_fuel_budget_that_trips_after_the_helper_started_reports_the_same_steps() {
+        use crate::sink::{EventBus, TraceEvent, CHUNK};
+        use crate::{Budget, BudgetLimit};
+        let mut a = Asm::new(0x1000);
+        a.label("spin");
+        a.mov(Reg::Eax, Mem::abs(0x8000));
+        a.jmp("spin");
+        let program = a.assemble().unwrap();
+        let config = AnalysisConfig {
+            budget: Budget::with_fuel(2_000),
+            ..AnalysisConfig::default()
+        };
+        struct Count(usize);
+        impl EventBus for Count {
+            fn emit(&mut self, _: TraceEvent) {
+                self.0 += 1;
+            }
+        }
+        let mut events = Count(0);
+        let input = AnalysisInput {
+            program: program.clone(),
+            init: InitState::new(),
+        };
+        let _ = Analysis::new(config.clone()).interpret(&input, &mut events);
+        assert!(events.0 > 2 * CHUNK, "the helper starts before the trip");
+        let steps =
+            |offload| match super::run_union(&config, &[], &program, &InitState::new(), offload) {
+                Err(AnalysisError::BudgetExhausted {
+                    limit: BudgetLimit::Fuel,
+                    steps,
+                }) => steps,
+                other => panic!("expected a fuel trip, got {other:?}"),
+            };
+        assert_eq!(steps(true), steps(false));
+        assert_eq!(steps(false), 2_000);
     }
 
     #[test]

@@ -419,8 +419,7 @@ impl Analysis {
     /// Returns [`AnalysisError`] on undecodable code, exhausted fuel, or
     /// unresolvable control flow.
     pub fn run(&self, target: &impl AnalysisTarget) -> Result<LeakReport, AnalysisError> {
-        let init = target.init_state();
-        engine::run_union(&self.config, &[], target.program(), &init)
+        self.run_group(&[], target, false)
     }
 
     /// Drives one abstract interpretation of `target`, publishing the
@@ -476,12 +475,24 @@ impl Analysis {
         members: &[AnalysisConfig],
         target: &impl AnalysisTarget,
     ) -> Result<LeakReport, AnalysisError> {
+        self.run_group(members, target, false)
+    }
+
+    /// [`Analysis::run_union`] with the executor's replay decision:
+    /// `offload` lets trace replay move to a helper thread while this
+    /// one interprets. The public entry points replay inline.
+    pub(crate) fn run_group(
+        &self,
+        members: &[AnalysisConfig],
+        target: &impl AnalysisTarget,
+        offload: bool,
+    ) -> Result<LeakReport, AnalysisError> {
         debug_assert!(
             members.iter().all(|m| self.config.same_interpretation(m)),
             "interpretation-group members must share fuel/budget/max_configs"
         );
         let init = target.init_state();
-        engine::run_union(&self.config, members, target.program(), &init)
+        engine::run_union(&self.config, members, target.program(), &init, offload)
     }
 }
 

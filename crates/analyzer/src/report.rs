@@ -12,10 +12,13 @@ use leakaudit_mpi::Natural;
 /// Instrumentation only: timings are **not** part of result identity —
 /// they never enter cache keys or serialized rows, are zeroed when a
 /// report is decoded from cache, and two bit-identical reports may carry
-/// different timings. The three phases are a disjoint partition of the
-/// sink pipeline's wall clock: sinks replay events on the thread that
-/// interprets, so `total()` is the pipeline's elapsed time (report
-/// assembly sits outside all three).
+/// different timings. Each phase is busy time on the thread that ran
+/// it. When replay stays on the interpreting thread, the three phases
+/// partition the pipeline's wall clock and `total()` is its elapsed time
+/// (report assembly sits outside all three). When replay runs on a
+/// helper thread (see [`crate::sink::run_pipeline`]), interpretation and
+/// replay overlap, so `total()` can exceed the job's wall time;
+/// interpretation then excludes time spent waiting for the helper.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimings {
     /// Abstract interpretation: the scheduler's fixpoint loop (decode,
@@ -30,7 +33,8 @@ pub struct PhaseTimings {
 }
 
 impl PhaseTimings {
-    /// Sum of all phases.
+    /// Sum of all phases: CPU time, which exceeds wall time when replay
+    /// overlapped interpretation.
     pub fn total(&self) -> Duration {
         self.interpret + self.replay + self.count
     }
@@ -140,6 +144,9 @@ pub struct LeakReport {
     rows: Vec<LeakRow>,
     timings: PhaseTimings,
     memo: MemoStats,
+    /// Whether replay ran on a helper thread (the executor's
+    /// `offloaded` count).
+    offloaded: bool,
 }
 
 impl LeakReport {
@@ -148,6 +155,7 @@ impl LeakReport {
             rows,
             timings: PhaseTimings::default(),
             memo: MemoStats::default(),
+            offloaded: false,
         }
     }
 
@@ -164,6 +172,15 @@ impl LeakReport {
     pub(crate) fn with_memo(mut self, memo: MemoStats) -> Self {
         self.memo = memo;
         self
+    }
+
+    pub(crate) fn with_offloaded(mut self, offloaded: bool) -> Self {
+        self.offloaded = offloaded;
+        self
+    }
+
+    pub(crate) fn offloaded(&self) -> bool {
+        self.offloaded
     }
 
     /// Reassembles a report from rows — the deserialization path of the

@@ -15,6 +15,13 @@
 //! whole observer suite instead of interleaving 18 cursor updates into
 //! the scheduler loop.
 //!
+//! The same one-way flow lets replay leave the interpreting thread. When
+//! the caller allows it (the executor does when another worker has no
+//! job), [`run_pipeline`] moves the sinks to one helper thread at the
+//! first full chunk and ships it full chunks over a bounded channel, so
+//! interpretation and replay overlap. The sinks still see one stream in
+//! emission order, so the rows do not change.
+//!
 //! # Mapping onto the paper
 //!
 //! Each sink implements the per-observer protocol of §6.4 verbatim:
@@ -30,6 +37,8 @@
 //! the old engine that threaded one `Vec<Option<Cursor>>` through every
 //! configuration — bit-for-bit, as the batch-consistency suite checks.
 
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
+use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 
 use leakaudit_core::{Cursor, ObsSet, TraceDag, ValueSet};
@@ -340,71 +349,207 @@ pub trait EventBus {
 /// Events buffered between flushes of the pipeline's bus. Looping every
 /// sink over one buffered batch keeps each sink's working set hot per
 /// chunk and needs only two clock reads per chunk to attribute replay
-/// time; the value changes no result.
-const CHUNK: usize = 256;
+/// time; the value changes no result. It is also the unit handed to the
+/// replay helper, so a stream shorter than one chunk never starts it.
+pub(crate) const CHUNK: usize = 256;
+
+/// Full chunks that may wait for the replay helper before the
+/// interpreting thread blocks. With the buffers in the helper's and the
+/// interpreter's hands it caps the events in flight at
+/// `(QUEUE + 2) * CHUNK`. The value changes no result; depths 1 and 4
+/// measured level end to end.
+const QUEUE: usize = 4;
+
+// The replay helper takes the sinks to another thread.
+const _: fn() = || {
+    fn send<T: Send>() {}
+    send::<DagSink>();
+    send::<TraceEvent>();
+};
 
 /// Runs a set of sinks against the event stream produced by `drive`.
 ///
 /// Events are buffered and applied to every sink in `CHUNK`-sized
-/// (256-event) batches on the calling thread. Row order in the result
-/// is sink order, each sink's rows in its class's spec order. If
-/// `drive` errors, the partial rows are discarded and the error is
-/// returned.
+/// (256-event) batches. Without `offload` every batch replays on the
+/// calling thread. With `offload`, the first full batch starts one
+/// scoped helper thread that takes the sinks; from then on full batches
+/// travel to it over a bounded channel and emptied ones come back for
+/// reuse, so interpretation and replay overlap. A stream shorter than
+/// one batch starts no thread. Either way each sink sees every event in
+/// emission order, so the rows are bit-identical.
 ///
-/// The returned [`PhaseTimings`] split the run's wall clock into three
-/// disjoint phases: interpretation (scheduler fixpoint), replay (sink
-/// event consumption) and counting (Proposition 2 arithmetic).
+/// Row order in the result is sink order, each sink's rows in its
+/// class's spec order. The flag is `true` when the helper ran. If
+/// `drive` errors, the helper is joined, the partial rows are discarded
+/// and the error is returned. A panic on the helper is re-raised on the
+/// calling thread once the helper is joined; no thread outlives the
+/// call.
+///
+/// The returned [`PhaseTimings`] are busy times: interpretation
+/// (scheduler fixpoint, less any time spent blocked on a full channel),
+/// replay (sink event consumption, on whichever thread ran it) and
+/// counting (Proposition 2 arithmetic).
 pub fn run_pipeline<E>(
     sinks: Vec<DagSink>,
+    offload: bool,
     drive: impl FnOnce(&mut dyn EventBus) -> Result<(), E>,
-) -> Result<(Vec<LeakRow>, PhaseTimings), E> {
-    let mut bus = SerialBus {
-        sinks,
-        buffer: Vec::with_capacity(CHUNK),
-        replay: Duration::ZERO,
-    };
-    let started = Instant::now();
-    drive(&mut bus)?;
-    bus.flush();
-    let interpret = started.elapsed().saturating_sub(bus.replay);
-    let counting = Instant::now();
-    let rows: Vec<LeakRow> = bus.sinks.into_iter().flat_map(DagSink::into_rows).collect();
-    let timings = PhaseTimings {
-        interpret,
-        replay: bus.replay,
-        count: counting.elapsed(),
-    };
-    Ok((rows, timings))
+) -> Result<(Vec<LeakRow>, PhaseTimings, bool), E> {
+    std::thread::scope(|scope| {
+        let mut bus = Bus {
+            sinks,
+            buffer: Vec::with_capacity(CHUNK),
+            replay: Duration::ZERO,
+            blocked: Duration::ZERO,
+            scope: offload.then_some(scope),
+            helper: None,
+        };
+        let started = Instant::now();
+        if let Err(e) = drive(&mut bus) {
+            if let Some(helper) = bus.helper.take() {
+                helper.join();
+            }
+            return Err(e);
+        }
+        bus.flush();
+        let interpret = started.elapsed().saturating_sub(bus.replay + bus.blocked);
+        let offloaded = bus.helper.is_some();
+        let (sinks, replay) = match bus.helper.take() {
+            Some(helper) => helper.join(),
+            None => (bus.sinks, bus.replay),
+        };
+        let counting = Instant::now();
+        let rows: Vec<LeakRow> = sinks.into_iter().flat_map(DagSink::into_rows).collect();
+        let timings = PhaseTimings {
+            interpret,
+            replay,
+            count: counting.elapsed(),
+        };
+        Ok((rows, timings, offloaded))
+    })
 }
 
-/// The pipeline's bus: buffers events and applies them to every sink in
-/// [`CHUNK`]-sized batches (see [`run_pipeline`]).
-struct SerialBus {
+/// Applies one batch of events to every sink.
+fn replay_chunk(sinks: &mut [DagSink], events: &[TraceEvent]) {
+    for sink in sinks {
+        for event in events {
+            sink.absorb(event);
+        }
+    }
+}
+
+/// The replay helper of an offloaded [`run_pipeline`]: full batches go
+/// out on `full`, emptied ones come back on `empty`, and the thread
+/// hands the sinks and its replay time back when `full` closes.
+struct Helper<'scope> {
+    full: SyncSender<Vec<TraceEvent>>,
+    empty: Receiver<Vec<TraceEvent>>,
+    handle: ScopedJoinHandle<'scope, (Vec<DagSink>, Duration)>,
+}
+
+impl<'scope> Helper<'scope> {
+    fn start<'env>(scope: &'scope Scope<'scope, 'env>, mut sinks: Vec<DagSink>) -> Self {
+        let (full, inbox) = mpsc::sync_channel::<Vec<TraceEvent>>(QUEUE);
+        let (outbox, empty) = mpsc::channel();
+        let handle = scope.spawn(move || {
+            let mut replay = Duration::ZERO;
+            for mut events in inbox {
+                let started = Instant::now();
+                replay_chunk(&mut sinks, &events);
+                replay += started.elapsed();
+                events.clear();
+                // The interpreter stops taking buffers back once its
+                // stream has ended.
+                let _ = outbox.send(events);
+            }
+            (sinks, replay)
+        });
+        Helper {
+            full,
+            empty,
+            handle,
+        }
+    }
+
+    /// Closes the channel and waits for the helper, re-raising its
+    /// panic on this thread.
+    fn join(self) -> (Vec<DagSink>, Duration) {
+        drop(self.full);
+        self.handle
+            .join()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+    }
+}
+
+/// The pipeline's bus: buffers events and replays them in [`CHUNK`]-sized
+/// batches, inline or on the helper (see [`run_pipeline`]).
+struct Bus<'scope, 'env> {
+    /// The sinks while replay is inline; empty once the helper has them.
     sinks: Vec<DagSink>,
     buffer: Vec<TraceEvent>,
+    /// Inline replay time.
     replay: Duration,
+    /// Time the interpreting thread waited on a full channel.
+    blocked: Duration,
+    /// Where to start the helper: set while offload is allowed and no
+    /// helper runs yet.
+    scope: Option<&'scope Scope<'scope, 'env>>,
+    helper: Option<Helper<'scope>>,
 }
 
-impl SerialBus {
+impl Bus<'_, '_> {
+    /// Replays the buffered events, on the helper once it runs.
     fn flush(&mut self) {
         if self.buffer.is_empty() {
             return;
         }
-        let started = Instant::now();
-        for sink in &mut self.sinks {
-            for event in &self.buffer {
-                sink.absorb(event);
-            }
+        if self.helper.is_some() {
+            self.send();
+        } else {
+            self.replay_inline();
         }
+    }
+
+    fn replay_inline(&mut self) {
+        let started = Instant::now();
+        replay_chunk(&mut self.sinks, &self.buffer);
         self.replay += started.elapsed();
         self.buffer.clear();
     }
+
+    /// Hands the buffer to the helper and takes an emptied one back (or
+    /// a fresh one while all are in flight). If the helper has died,
+    /// joins it, which re-raises its panic.
+    fn send(&mut self) {
+        let helper = self.helper.as_ref().expect("helper started");
+        let next = helper
+            .empty
+            .try_recv()
+            .unwrap_or_else(|_| Vec::with_capacity(CHUNK));
+        let events = std::mem::replace(&mut self.buffer, next);
+        let sent = match helper.full.try_send(events) {
+            Ok(()) => true,
+            Err(TrySendError::Full(events)) => {
+                let started = Instant::now();
+                let sent = helper.full.send(events).is_ok();
+                self.blocked += started.elapsed();
+                sent
+            }
+            Err(TrySendError::Disconnected(_)) => false,
+        };
+        if !sent {
+            self.helper.take().expect("helper started").join();
+            unreachable!("the replay helper only hangs up by panicking");
+        }
+    }
 }
 
-impl EventBus for SerialBus {
+impl EventBus for Bus<'_, '_> {
     fn emit(&mut self, event: TraceEvent) {
         self.buffer.push(event);
         if self.buffer.len() >= CHUNK {
+            if let Some(scope) = self.scope.take() {
+                self.helper = Some(Helper::start(scope, std::mem::take(&mut self.sinks)));
+            }
             self.flush();
         }
     }
@@ -413,6 +558,7 @@ impl EventBus for SerialBus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::panic_message;
     use leakaudit_core::Observer;
 
     /// The bus buffers [`CHUNK`] events by value, so an event stays
@@ -458,7 +604,7 @@ mod tests {
         sinks: Vec<DagSink>,
         drive: impl FnOnce(&mut dyn EventBus) -> Result<(), E>,
     ) -> Result<Vec<LeakRow>, E> {
-        run_pipeline(sinks, drive).map(|(rows, _)| rows)
+        run_pipeline(sinks, false, drive).map(|(rows, _, _)| rows)
     }
 
     #[test]
@@ -533,6 +679,157 @@ mod tests {
         .unwrap();
         assert_eq!(rows[0].count.to_u64(), Some(1));
         assert_eq!(rows[0].bits, 0.0);
+    }
+
+    /// A stream several chunks long: a root loop of fetches and data
+    /// loads, with a side path forked, advanced, merged back every few
+    /// rounds and a second one retired on its own.
+    fn long_events(bus: &mut dyn EventBus) -> Result<(), std::convert::Infallible> {
+        let (root, side, spur) = (ConfigId(0), ConfigId(1), ConfigId(2));
+        for round in 0..600u64 {
+            bus.emit(TraceEvent::access(root, AccessKind::Fetch, consts(&[0x40])));
+            bus.emit(TraceEvent::access(
+                root,
+                AccessKind::Data,
+                consts(&[0x1000 + (round % 5) * 0x40, 0x2000]),
+            ));
+            if round % 7 == 0 {
+                bus.emit(TraceEvent::Fork {
+                    parent: root,
+                    child: side,
+                });
+                bus.emit(TraceEvent::access(
+                    side,
+                    AccessKind::Data,
+                    consts(&[0x3000]),
+                ));
+                bus.emit(TraceEvent::Merge {
+                    into: root,
+                    from: side,
+                });
+            }
+        }
+        bus.emit(TraceEvent::Fork {
+            parent: root,
+            child: spur,
+        });
+        bus.emit(TraceEvent::access(spur, AccessKind::Fetch, consts(&[0x80])));
+        bus.emit(TraceEvent::Retire { config: spur });
+        bus.emit(TraceEvent::Retire { config: root });
+        Ok(())
+    }
+
+    fn suite_sinks() -> Vec<DagSink> {
+        [Channel::Instruction, Channel::Data, Channel::Shared]
+            .into_iter()
+            .flat_map(|channel| {
+                [
+                    Observer::address(),
+                    Observer::block(6),
+                    Observer::block(6).stuttering(),
+                ]
+                .map(|observer| DagSink::new(ObserverSpec { channel, observer }, ConfigId(0)))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn offloaded_replay_is_bit_identical_to_inline() {
+        let mut emitted = Count(0);
+        long_events(&mut emitted).unwrap();
+        assert!(
+            emitted.0 > 4 * CHUNK,
+            "{} events: several chunks",
+            emitted.0
+        );
+        let (inline, _, inline_helper) = run_pipeline(suite_sinks(), false, long_events).unwrap();
+        let (offloaded, _, helper) = run_pipeline(suite_sinks(), true, long_events).unwrap();
+        assert!(
+            !inline_helper && helper,
+            "only the offloaded run starts the helper"
+        );
+        assert_eq!(inline.len(), offloaded.len());
+        for (a, b) in inline.iter().zip(&offloaded) {
+            assert_eq!(a.spec, b.spec);
+            assert_eq!(a.count, b.count);
+            assert_eq!(a.bits.to_bits(), b.bits.to_bits());
+        }
+        assert!(
+            inline.iter().any(|r| r.bits > 0.0),
+            "the stream leaks somewhere"
+        );
+    }
+
+    #[test]
+    fn a_stream_shorter_than_a_chunk_starts_no_helper() {
+        let (rows, _, helper) = run_pipeline(suite_sinks(), true, example9_events).unwrap();
+        assert!(!helper);
+        assert_eq!(rows[0].count.to_u64(), Some(2), "address observer");
+    }
+
+    /// Counts events.
+    struct Count(usize);
+
+    impl EventBus for Count {
+        fn emit(&mut self, _: TraceEvent) {
+            self.0 += 1;
+        }
+    }
+
+    /// `n` data loads by `config`.
+    fn loads(bus: &mut dyn EventBus, config: u64, n: usize) {
+        for _ in 0..n {
+            bus.emit(TraceEvent::access(
+                ConfigId(config),
+                AccessKind::Data,
+                consts(&[0x10]),
+            ));
+        }
+    }
+
+    #[test]
+    fn a_drive_panic_after_the_helper_started_is_raised_without_hanging() {
+        let payload = std::panic::catch_unwind(|| {
+            run_pipeline(suite_sinks(), true, |bus| -> Result<(), ()> {
+                loads(bus, 0, 3 * CHUNK);
+                panic!("drive exploded")
+            })
+        })
+        .unwrap_err();
+        assert_eq!(panic_message(payload.as_ref()), "drive exploded");
+    }
+
+    #[test]
+    fn a_helper_panic_is_raised_on_the_interpreting_thread() {
+        // An access by a configuration no sink has a cursor for panics
+        // inside `DagSink::absorb`; offloaded, that runs on the helper,
+        // which has had the sinks since the first full chunk.
+        let message = |offload| {
+            let payload = std::panic::catch_unwind(|| {
+                run_pipeline(suite_sinks(), offload, |bus| -> Result<(), ()> {
+                    loads(bus, 0, 2 * CHUNK);
+                    loads(bus, 9, 1);
+                    loads(bus, 0, 8 * CHUNK);
+                    Ok(())
+                })
+            })
+            .unwrap_err();
+            panic_message(payload.as_ref())
+        };
+        let inline = message(false);
+        assert!(!inline.is_empty());
+        assert_eq!(message(true), inline);
+    }
+
+    #[test]
+    fn a_drive_error_after_the_helper_started_discards_rows() {
+        for offload in [false, true] {
+            let err = run_pipeline(suite_sinks(), offload, |bus| {
+                loads(bus, 0, 3 * CHUNK);
+                Err("late boom")
+            });
+            assert_eq!(err.unwrap_err(), "late boom", "offload {offload}");
+        }
     }
 
     #[test]

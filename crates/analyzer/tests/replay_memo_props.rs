@@ -12,7 +12,10 @@
 //! exactly for every spec, over random fork/merge/retire salads,
 //! repeated loop-like accesses, and stuttering and exact observers. The
 //! stream reaches the sinks through [`run_pipeline`], the production
-//! bus.
+//! bus, with its replay inline or offloaded to a helper thread as a
+//! generated input, after a generated number of lead-in accesses: a
+//! stream longer than one 256-event chunk replays on the helper when
+//! offloaded, and the rows must not change.
 
 use std::collections::HashMap;
 
@@ -165,6 +168,21 @@ fn build_events(ops: &[RawOp]) -> Vec<TraceEvent> {
     events
 }
 
+/// `lead` accesses by the root configuration, then the lowered script: a
+/// loop prologue that moves the script past zero or more 256-event
+/// chunk boundaries, so an offloaded replay reaches the helper at a
+/// random point of the script (a script alone rarely fills one chunk,
+/// because retiring every live configuration ends it).
+fn events_after(lead: usize, ops: &[RawOp]) -> Vec<TraceEvent> {
+    let pool = address_pool();
+    let kinds = [AccessKind::Fetch, AccessKind::Data];
+    let mut events: Vec<TraceEvent> = (0..lead)
+        .map(|i| TraceEvent::access(ConfigId::ROOT, kinds[i % 2], pool[i % pool.len()].clone()))
+        .collect();
+    events.extend(build_events(ops));
+    events
+}
+
 /// The reference replayer: one spec, one DAG, nothing shared. Every
 /// visible access pays its own `project_set` and one
 /// [`TraceDag::update`].
@@ -254,10 +272,10 @@ fn class_sinks(suite: &[ObserverSpec]) -> Vec<DagSink> {
         .collect()
 }
 
-/// Replays the events through `sinks` on the production pipeline and
-/// returns the rows in sink order.
-fn pipeline_rows(sinks: Vec<DagSink>, events: &[TraceEvent]) -> Vec<LeakRow> {
-    let (rows, _) = run_pipeline(sinks, |bus| {
+/// Replays the events through `sinks` on the production pipeline, with
+/// replay offloaded or inline, and returns the rows in sink order.
+fn pipeline_rows(sinks: Vec<DagSink>, events: &[TraceEvent], offload: bool) -> Vec<LeakRow> {
+    let (rows, _, _) = run_pipeline(sinks, offload, |bus| {
         for event in events {
             bus.emit(event.clone());
         }
@@ -268,19 +286,22 @@ fn pipeline_rows(sinks: Vec<DagSink>, events: &[TraceEvent]) -> Vec<LeakRow> {
 }
 
 /// Replays the events through the memoized production class sinks.
-fn memoized_rows(events: &[TraceEvent]) -> Vec<LeakRow> {
-    pipeline_rows(class_sinks(&suite()), events)
+fn memoized_rows(events: &[TraceEvent], offload: bool) -> Vec<LeakRow> {
+    pipeline_rows(class_sinks(&suite()), events, offload)
 }
 
 proptest! {
     /// The flagship property: over random event salads, every spec's
-    /// memoized class-sink count equals the naive replay bit for bit.
+    /// memoized class-sink count equals the naive replay bit for bit,
+    /// with replay inline or offloaded.
     #[test]
     fn memoized_class_replay_matches_naive_replay(
         ops in proptest::collection::vec(raw_op(), 0..120),
+        lead in 0usize..700,
+        offload in any::<bool>(),
     ) {
-        let events = build_events(&ops);
-        let rows = memoized_rows(&events);
+        let events = events_after(lead, &ops);
+        let rows = memoized_rows(&events, offload);
         for spec in suite() {
             let row = rows
                 .iter()
@@ -305,14 +326,18 @@ proptest! {
     /// projection) agree with the class layout — the two
     /// production configurations may never diverge from each other.
     #[test]
-    fn solo_sinks_match_class_sinks(ops in proptest::collection::vec(raw_op(), 0..80)) {
-        let events = build_events(&ops);
-        let class_rows = memoized_rows(&events);
+    fn solo_sinks_match_class_sinks(
+        ops in proptest::collection::vec(raw_op(), 0..80),
+        lead in 0usize..700,
+        offload in any::<bool>(),
+    ) {
+        let events = events_after(lead, &ops);
+        let class_rows = memoized_rows(&events, offload);
         let solo_sinks = suite()
             .into_iter()
             .map(|spec| DagSink::new(spec, ConfigId::ROOT))
             .collect();
-        let solo_rows = pipeline_rows(solo_sinks, &events);
+        let solo_rows = pipeline_rows(solo_sinks, &events, !offload);
         for solo in &solo_rows {
             let class = class_rows
                 .iter()
@@ -327,8 +352,9 @@ proptest! {
 /// A deterministic loop-heavy stream: a long loop on one address
 /// (repetition bumps and tail collapses on one hot vertex) punctuated by
 /// forks and merges that move the frontier, checked against the naive
-/// replay. Kept outside `proptest!` so it always runs with this exact
-/// shape regardless of generator drift.
+/// replay, inline and offloaded (the stream spans more than one chunk).
+/// Kept outside `proptest!` so it always runs with this exact shape
+/// regardless of generator drift.
 #[test]
 fn loop_heavy_stream_matches_naive_replay() {
     let pool = address_pool();
@@ -357,20 +383,26 @@ fn loop_heavy_stream_matches_naive_replay() {
         }
     }
     events.push(TraceEvent::Retire { config: root });
+    assert!(events.len() > 256, "more than one chunk");
 
-    let rows = memoized_rows(&events);
-    for spec in suite() {
-        let row = rows.iter().find(|r| r.spec == spec).expect("row for spec");
-        let mut naive = Naive::new(spec);
-        for event in &events {
-            naive.absorb(event);
+    for offload in [false, true] {
+        let rows = memoized_rows(&events, offload);
+        for spec in suite() {
+            let row = rows.iter().find(|r| r.spec == spec).expect("row for spec");
+            let mut naive = Naive::new(spec);
+            for event in &events {
+                naive.absorb(event);
+            }
+            let (count, bits) = naive.row();
+            assert_eq!(
+                row.count, count,
+                "count mismatch for {spec:?} (offload {offload})"
+            );
+            assert_eq!(
+                row.bits.to_bits(),
+                bits.to_bits(),
+                "bits mismatch for {spec:?} (offload {offload})"
+            );
         }
-        let (count, bits) = naive.row();
-        assert_eq!(row.count, count, "count mismatch for {spec:?}");
-        assert_eq!(
-            row.bits.to_bits(),
-            bits.to_bits(),
-            "bits mismatch for {spec:?}"
-        );
     }
 }

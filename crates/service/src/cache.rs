@@ -246,7 +246,9 @@ impl MemoryCache {
 /// cache, never to an error in the sweep); reads treat unparsable files
 /// as misses, so a corrupted entry costs a re-analysis, not a panic.
 /// Entries of another schema version — among them every
-/// `leakaudit-result/v1` entry — are misses too.
+/// `leakaudit-result/v1` entry — are misses too. A lookup deletes the
+/// entry file it could not decode, so [`DiskCache::len`] counts only
+/// servable entries; the recomputation writes the file again.
 #[derive(Debug)]
 pub struct DiskCache {
     dir: PathBuf,
@@ -264,7 +266,9 @@ impl DiskCache {
         Ok(DiskCache { dir })
     }
 
-    /// Number of entry files in the `ab/cd/` layout.
+    /// Number of entry files in the `ab/cd/` layout. Each call walks the
+    /// whole store (the daemon's `stats` request does so every time). A
+    /// damaged entry counts until a lookup finds and deletes it.
     pub fn len(&self) -> usize {
         let Ok(level1) = std::fs::read_dir(&self.dir) else {
             return 0;
@@ -284,10 +288,16 @@ impl DiskCache {
     }
 
     /// Looks a report up; a missing, unreadable or undecodable entry is
-    /// a miss.
+    /// a miss. An entry file that reads but does not decode is deleted
+    /// (best-effort: a failed delete changes nothing but the count).
     pub fn get(&self, key: &CacheKey) -> Option<Arc<LeakReport>> {
-        let text = std::fs::read_to_string(self.path(key)).ok()?;
-        decode_report(&text).map(Arc::new)
+        let path = self.path(key);
+        let bytes = std::fs::read(&path).ok()?;
+        let report = std::str::from_utf8(&bytes).ok().and_then(decode_report);
+        if report.is_none() {
+            let _ = std::fs::remove_file(&path);
+        }
+        report.map(Arc::new)
     }
 
     /// Stores a whole collected sweep in two phases: every entry is
@@ -740,6 +750,26 @@ mod tests {
         }
         let full = decode_report(&text).expect("full text decodes");
         assert_eq!(full.rows(), report.rows());
+    }
+
+    #[test]
+    fn a_damaged_entry_is_deleted_on_lookup_and_rewritten() {
+        let dir = temp_dir("damaged");
+        let cache = DiskCache::open(&dir).unwrap();
+        let report = sample_report();
+        let keys: Vec<CacheKey> = (1..=4).map(key_n).collect();
+        cache.put_many(keys.iter().map(|&k| (k, &report)));
+        assert_eq!(cache.len(), 4);
+        std::fs::write(cache.path(&keys[2]), "garbage").unwrap();
+        assert_eq!(cache.len(), 4, "a damaged file counts until looked up");
+        assert!(cache.get(&keys[2]).is_none(), "garbage is a miss");
+        assert_eq!(cache.len(), 3, "the miss deleted the damaged file");
+        assert!(cache.get(&keys[1]).is_some(), "its neighbours still hit");
+        cache.put_many([(keys[2], &report)]);
+        assert_eq!(cache.len(), 4);
+        let again = cache.get(&keys[2]).expect("the rewrite hits");
+        assert_eq!(again.rows(), report.rows());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -626,6 +626,7 @@ impl Daemon {
                     ("workers", Json::num(self.engine.workers() as u64)),
                     ("pending", Json::num(self.engine.pending_jobs() as u64)),
                     ("in_flight", Json::num(self.engine.in_flight_jobs() as u64)),
+                    ("offloaded", Json::num(self.engine.offloaded_jobs())),
                 ]),
             ),
             (

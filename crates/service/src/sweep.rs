@@ -502,6 +502,12 @@ impl SweepEngine {
         self.executor.get().map_or(0, Executor::in_flight)
     }
 
+    /// Computed analyses whose trace replay ran on a helper thread while
+    /// another worker was idle (0 when the pool was never spawned).
+    pub fn offloaded_jobs(&self) -> u64 {
+        self.executor.get().map_or(0, Executor::offloaded)
+    }
+
     /// Cumulative interpret/replay/count phase time across every
     /// analysis this engine's executor completed (zero when the pool
     /// was never spawned; cache hits contribute nothing).

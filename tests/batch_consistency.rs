@@ -61,3 +61,35 @@ fn single_worker_batch_matches_parallel_batch() {
         }
     }
 }
+
+/// One job at a time, a two-worker executor always has an idle worker,
+/// so every scenario whose event stream spans more than one chunk (3 of
+/// the 8) replays on a helper thread; a one-worker executor never has
+/// one. The rows must not differ, and the offload counters show that
+/// both paths ran.
+#[test]
+fn offloaded_replay_matches_inline_replay_one_job_at_a_time() {
+    let scenarios = scenarios::all();
+    let run = |threads: usize| -> (Vec<BatchReport>, u64) {
+        let executor = Executor::with_threads(threads);
+        let reports = scenarios
+            .iter()
+            .map(|s| executor.submit(vec![s.batch_job()]).wait())
+            .collect();
+        (reports, executor.offloaded())
+    };
+    let ((offloaded, helpers), (inline, none)) = (run(2), run(1));
+    assert!(helpers > 0, "the two-worker executor offloaded replay");
+    assert_eq!(none, 0, "a one-worker executor never offloads");
+    for (p, q) in offloaded.iter().zip(&inline) {
+        let (p, q) = (&p.outcomes()[0], &q.outcomes()[0]);
+        assert_eq!(p.name, q.name);
+        let (pr, qr) = (p.result.as_ref().unwrap(), q.result.as_ref().unwrap());
+        assert_eq!(pr.rows().len(), qr.rows().len(), "{}", p.name);
+        for (a, b) in pr.rows().iter().zip(qr.rows()) {
+            assert_eq!(a.spec, b.spec, "{}", p.name);
+            assert_eq!(a.count, b.count, "{}", p.name);
+            assert_eq!(a.bits.to_bits(), b.bits.to_bits(), "{}", p.name);
+        }
+    }
+}
