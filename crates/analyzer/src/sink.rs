@@ -200,9 +200,10 @@ impl Lane {
     /// Advances `config`'s cursor by one observation (the §6.4 update
     /// rule), in its own table slot.
     fn access(&mut self, config: ConfigId, obs: &ObsSet) {
-        let slot = &mut self.cursors[config.0 as usize];
-        let cur = slot.take().expect("cursor present for config");
-        *slot = Some(self.dag.update(cur, obs));
+        let cur = self.cursors[config.0 as usize]
+            .as_mut()
+            .expect("cursor present for config");
+        self.dag.advance(cur, obs);
     }
 
     fn retire(&mut self, config: ConfigId) {

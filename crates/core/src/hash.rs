@@ -1,11 +1,14 @@
 //! A fast, deterministic hasher for the analyzer's internal maps.
 //!
-//! The interpreter's hot loops hit the origin/offset maps of
-//! [`crate::SymbolTable`] on every pointer-arithmetic step, so the default
-//! SipHash (with its per-process random keys) is both slower than needed
-//! and non-deterministic across runs. This is the classic multiply-rotate
-//! "Fx" construction: not collision-resistant, but the keys here are
-//! small fixed-shape tuples of ids and masks, for which it behaves well.
+//! The interpreter's hot loops hit the `succ` memo of
+//! [`crate::SymbolTable`] (one offset map per origin) on every
+//! pointer-arithmetic step, and the trace DAG hashes each frontier
+//! vertex's preds and label summary before a §6.4 sibling merge, so the
+//! default SipHash (with its per-process random keys) is both slower than
+//! needed and non-deterministic across runs. This is the classic
+//! multiply-rotate "Fx" construction: not collision-resistant, but the
+//! keys here are offsets and small fixed-shape tuples of ids and masks,
+//! for which it behaves well.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

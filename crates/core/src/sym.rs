@@ -4,6 +4,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::hash::FxBuildHasher;
+use crate::mask::Mask;
 use crate::msym::MaskedSymbol;
 
 /// Identifier of a symbol (`s ∈ Sym` in the paper).
@@ -80,6 +81,12 @@ enum SymInfo {
 /// is what lets the analysis decide pointer equalities like the loop guard
 /// `x ≠ y` of paper Ex. 7/8.
 ///
+/// A heavy analysis records thousands of offsets, nearly all on fresh
+/// symbols derived from one or two origins, so both memos are shaped to
+/// that load instead of keyed by whole `(masked symbol, offset)` tuples:
+/// `orig`/`off` is a dense table indexed by the derived symbol's
+/// [`SymId`], and `succ` is one offset map per origin.
+///
 /// ```
 /// use leakaudit_core::SymbolTable;
 ///
@@ -90,15 +97,72 @@ enum SymInfo {
 #[derive(Debug, Clone, Default)]
 pub struct SymbolTable {
     syms: Vec<SymInfo>,
-    /// `orig`/`off` of §5.4.2, keyed by derived masked symbol.
-    origin: HashMap<MaskedSymbol, (MaskedSymbol, u64), FxBuildHasher>,
-    /// `succ(origin, offset)` memo of §5.4.2.
-    succ: HashMap<(MaskedSymbol, u64), MaskedSymbol, FxBuildHasher>,
+    /// `orig`/`off` of §5.4.2, indexed by the derived masked symbol's
+    /// [`SymId`]; an id past the end, like an [`OriginSlot::Empty`] slot,
+    /// has no recorded derivation.
+    origin: Vec<OriginSlot>,
+    /// `succ(origin, offset)` memo of §5.4.2: per origin, offset →
+    /// successor.
+    succ: HashMap<MaskedSymbol, HashMap<u64, MaskedSymbol, FxBuildHasher>, FxBuildHasher>,
     /// When journaling (see [`SymbolTable::begin_journal`]), every
     /// [`SymbolTable::record_offset`] call that passes the early-return
     /// guard is also appended here, so a memo layer can replay the
     /// table mutations of a recorded transfer verbatim.
     journal: Option<Vec<OffsetRecord>>,
+}
+
+/// One recorded `orig`/`off` pair of a derived masked symbol, keyed by
+/// the derived symbol's mask (its [`SymId`] is the slot's index).
+#[derive(Debug, Clone, Copy)]
+struct OriginEntry {
+    mask: Mask,
+    origin: MaskedSymbol,
+    offset: u64,
+}
+
+/// The `orig`/`off` entries of one symbol, one per mask it was recorded
+/// under.
+#[derive(Debug, Clone, Default)]
+enum OriginSlot {
+    /// No recorded derivation.
+    #[default]
+    Empty,
+    /// One mask: a fresh symbol from one pointer step, the common case.
+    One(OriginEntry),
+    /// Several masks, sorted by mask. A uniform constant add over a set
+    /// (`ValueSet`'s shared fresh symbol) records one low-bit mask per
+    /// element, up to 64 of them.
+    Many(Vec<OriginEntry>),
+}
+
+impl OriginSlot {
+    fn get(&self, mask: Mask) -> Option<&OriginEntry> {
+        match self {
+            OriginSlot::Empty => None,
+            OriginSlot::One(e) => (e.mask == mask).then_some(e),
+            OriginSlot::Many(v) => v
+                .binary_search_by_key(&mask, |e| e.mask)
+                .ok()
+                .map(|i| &v[i]),
+        }
+    }
+
+    /// Inserts `entry`, overwriting the entry of the same mask.
+    fn insert(&mut self, entry: OriginEntry) {
+        match self {
+            OriginSlot::Empty => *self = OriginSlot::One(entry),
+            OriginSlot::One(e) if e.mask == entry.mask => *e = entry,
+            OriginSlot::One(e) => {
+                let mut v = vec![*e, entry];
+                v.sort_unstable_by_key(|e| e.mask);
+                *self = OriginSlot::Many(v);
+            }
+            OriginSlot::Many(v) => match v.binary_search_by_key(&entry.mask, |e| e.mask) {
+                Ok(i) => v[i] = entry,
+                Err(i) => v.insert(i, entry),
+            },
+        }
+    }
 }
 
 /// One journaled [`SymbolTable::record_offset`] call:
@@ -132,7 +196,7 @@ impl SymbolTable {
     pub fn new() -> Self {
         SymbolTable {
             syms: vec![SymInfo::Input("·".into())],
-            origin: HashMap::default(),
+            origin: Vec::new(),
             succ: HashMap::default(),
             journal: None,
         }
@@ -211,7 +275,14 @@ impl SymbolTable {
     /// Defaults to `(x, 0)` for symbols with no recorded derivation, matching
     /// the paper's initialization `orig(x) = x`, `off(x) = 0`.
     pub fn origin_of(&self, x: &MaskedSymbol) -> (MaskedSymbol, u64) {
-        self.origin.get(x).copied().unwrap_or((*x, 0))
+        match self
+            .origin
+            .get(x.sym().index())
+            .and_then(|slot| slot.get(x.mask()))
+        {
+            Some(e) => (e.origin, e.offset),
+            None => (*x, 0),
+        }
     }
 
     /// Looks up `succ(origin, offset)`.
@@ -219,12 +290,14 @@ impl SymbolTable {
         if offset == 0 {
             return Some(*origin);
         }
-        self.succ.get(&(*origin, offset)).copied()
+        self.succ.get(origin)?.get(&offset).copied()
     }
 
     /// Records that `derived = origin + offset` (wrapping at the width).
     ///
-    /// Called by the abstract `ADD`/`SUB` with a constant operand.
+    /// Called by the abstract `ADD`/`SUB` with a constant operand. A
+    /// second call for the same `derived` overwrites its origin and
+    /// offset; `succ(origin, offset)` keeps the first symbol recorded.
     pub fn record_offset(&mut self, derived: MaskedSymbol, origin: MaskedSymbol, offset: u64) {
         if derived == origin || offset == 0 {
             return;
@@ -232,8 +305,20 @@ impl SymbolTable {
         if let Some(journal) = &mut self.journal {
             journal.push((derived, origin, offset));
         }
-        self.origin.insert(derived, (origin, offset));
-        self.succ.entry((origin, offset)).or_insert(derived);
+        let idx = derived.sym().index();
+        if idx >= self.origin.len() {
+            self.origin.resize_with(idx + 1, OriginSlot::default);
+        }
+        self.origin[idx].insert(OriginEntry {
+            mask: derived.mask(),
+            origin,
+            offset,
+        });
+        self.succ
+            .entry(origin)
+            .or_default()
+            .entry(offset)
+            .or_insert(derived);
     }
 
     /// Decides definite equality/disequality of the *values* of two masked
@@ -285,7 +370,6 @@ impl SymbolTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mask::Mask;
 
     #[test]
     fn fresh_symbols_are_distinct() {
@@ -328,6 +412,37 @@ mod tests {
         t.record_offset(plus4, base, 4);
         assert_eq!(t.successor(&base, 4), Some(plus4));
         assert_eq!(t.origin_of(&plus4), (base, 4));
+    }
+
+    #[test]
+    fn one_symbol_with_many_low_bit_masks_keeps_an_origin_per_mask() {
+        // The `uniform_const_add` shape: one shared fresh symbol carrying
+        // one low-bit mask per set element, each from its own origin.
+        let mut t = SymbolTable::new();
+        let shared = t.fresh_derived("add");
+        let origins: Vec<MaskedSymbol> = (0..64)
+            .map(|_| MaskedSymbol::symbol(t.fresh("p"), 32))
+            .collect();
+        let derived =
+            |low: u64| MaskedSymbol::new(shared, Mask::top(32).with_low_bits_known(6, low));
+        // Record the 64 masks out of order.
+        for i in 0..64u64 {
+            let low = (i * 37) % 64;
+            t.record_offset(derived(low), origins[low as usize], low + 1);
+        }
+        for low in 0..64u64 {
+            let origin = origins[low as usize];
+            assert_eq!(t.origin_of(&derived(low)), (origin, low + 1));
+            assert_eq!(t.successor(&origin, low + 1), Some(derived(low)));
+        }
+        // A mask never recorded has no derivation.
+        let other = MaskedSymbol::new(shared, Mask::top(32).with_low_bits_known(5, 3));
+        assert_eq!(t.origin_of(&other), (other, 0));
+        // A second record overwrites `orig`/`off`; `succ` keeps the first.
+        t.record_offset(derived(0), origins[1], 9);
+        assert_eq!(t.origin_of(&derived(0)), (origins[1], 9));
+        assert_eq!(t.successor(&origins[0], 1), Some(derived(0)));
+        assert_eq!(t.successor(&origins[1], 9), Some(derived(0)));
     }
 
     #[test]

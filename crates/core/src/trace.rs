@@ -20,9 +20,11 @@
 //! repetition bumps are only sound for exclusively-owned vertices.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use leakaudit_mpi::Natural;
 
+use crate::hash::FxHasher;
 use crate::observer::{ObsSet, Observer};
 use crate::value::ValueSet;
 
@@ -115,7 +117,7 @@ impl Reps {
 /// Predecessor edges of a vertex: almost always exactly one (a chain),
 /// several only for ε-join vertices — kept inline to spare the
 /// per-vertex `Vec` allocation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum Preds {
     /// The root: no predecessors.
     None,
@@ -313,7 +315,10 @@ impl std::ops::IndexMut<usize> for VertexArena {
 /// The frontier of one abstract execution path in a [`TraceDag`].
 ///
 /// Holds one or more vertices when joins are pending (delayed-join
-/// discipline of §6.4).
+/// discipline of §6.4). [`TraceDag::advance`] moves a cursor where it
+/// lives, so a table of cursors updates one in its slot;
+/// [`TraceDag::update`] and [`TraceDag::access`] take and return it by
+/// value.
 #[derive(Debug)]
 pub struct Cursor {
     verts: Vec<VertexId>,
@@ -410,12 +415,21 @@ impl TraceDag {
     }
 
     /// Records one access with an already-projected observation set
-    /// (paper §6.4 update).
+    /// (paper §6.4 update): [`TraceDag::advance`] on an owned cursor.
+    pub fn update(&mut self, mut c: Cursor, obs: &ObsSet) -> Cursor {
+        self.advance(&mut c, obs);
+        c
+    }
+
+    /// Records one access with an already-projected observation set
+    /// (paper §6.4 update), moving the cursor where it lives.
     ///
     /// The observation set is borrowed: the analyzer's class sinks project
     /// an access once and hand the same set to every lane, and the
-    /// stuttering/repetition fast paths never need an owned copy.
-    pub fn update(&mut self, c: Cursor, obs: &ObsSet) -> Cursor {
+    /// stuttering/repetition fast paths never need an owned copy. The
+    /// cursor is borrowed too, so a caller that keeps cursors in a table
+    /// advances one in its slot.
+    pub fn advance(&mut self, c: &mut Cursor, obs: &ObsSet) {
         // Fast path: a single frontier vertex — the overwhelmingly common
         // case (straight-line code between forks). Reuses the cursor's
         // vertex buffer and allocates at most one new vertex — usually
@@ -423,9 +437,11 @@ impl TraceDag {
         // tail overwrites it in place (see `collapse_target`).
         if let [v] = c.verts[..] {
             let step = self.classify(v, obs);
-            return self.apply_singleton(c, v, obs, step);
+            self.apply_singleton(c, v, obs, step);
+        } else {
+            let verts = std::mem::take(&mut c.verts);
+            c.verts = self.update_frontier(verts, obs);
         }
-        self.update_frontier(c, obs)
     }
 
     /// Whether an extend from frontier vertex `v` may *overwrite* `v` in
@@ -470,13 +486,10 @@ impl TraceDag {
     }
 
     /// Mutation half of the singleton-frontier update.
-    fn apply_singleton(&mut self, c: Cursor, v: VertexId, obs: &ObsSet, step: DagStep) -> Cursor {
+    fn apply_singleton(&mut self, c: &mut Cursor, v: VertexId, obs: &ObsSet, step: DagStep) {
         match step {
-            DagStep::Stutter => c,
-            DagStep::Bump => {
-                self.vertices[v.index()].reps.bump();
-                c
-            }
+            DagStep::Stutter => {}
+            DagStep::Bump => self.vertices[v.index()].reps.bump(),
             DagStep::Extend => {
                 // Tail collapse: a count-transparent private tail is
                 // overwritten in place — the chain stays one hot vertex
@@ -486,23 +499,21 @@ impl TraceDag {
                     let vert = &mut self.vertices[v.index()];
                     vert.label = Label::Obs(obs.clone());
                     vert.reps = Reps::one();
-                    return c;
+                    return;
                 }
-                let mut verts = c.verts;
                 self.vertices[v.index()].cursor_refs -= 1;
                 self.vertices[v.index()].children += 1;
-                let child = self.push_vertex(Label::Obs(obs.clone()), Preds::One(v), 1);
-                verts[0] = child;
-                Cursor { verts }
+                c.verts[0] = self.push_vertex(Label::Obs(obs.clone()), Preds::One(v), 1);
             }
         }
     }
 
-    /// The general (multi-vertex frontier) update path.
-    fn update_frontier(&mut self, c: Cursor, obs: &ObsSet) -> Cursor {
+    /// The general (multi-vertex frontier) update path: consumes the old
+    /// frontier and returns the new one.
+    fn update_frontier(&mut self, verts: Vec<VertexId>, obs: &ObsSet) -> Vec<VertexId> {
         let mut stuttered: Vec<VertexId> = Vec::new();
         let mut pending: Vec<VertexId> = Vec::new();
-        for v in c.verts {
+        for v in verts {
             match self.classify(v, obs) {
                 // A stuttering observer cannot see the repetition at all:
                 // the set of (collapsed) views is unchanged, so the cursor
@@ -546,7 +557,7 @@ impl TraceDag {
         // unioning their repetition sets (paper §6.4 join rule).
         self.merge_equal_siblings(&mut new_verts);
         new_verts.sort();
-        Cursor { verts: new_verts }
+        new_verts
     }
 
     /// How one frontier vertex reacts to an access labeled `obs`.
@@ -580,7 +591,18 @@ impl TraceDag {
         id
     }
 
+    /// The §6.4 join rule: frontier vertices with the same preds and the
+    /// same label merge, unioning their repetition sets.
+    ///
+    /// The pairwise scan is quadratic, and the frontier of retired paths
+    /// grows to a hundred and more vertices that almost never merge, so
+    /// the scan runs only when [`TraceDag::may_have_equal_siblings`]
+    /// finds a candidate pair. Otherwise no pair is equal and the scan
+    /// would change nothing.
     fn merge_equal_siblings(&mut self, verts: &mut Vec<VertexId>) {
+        if !self.may_have_equal_siblings(verts) {
+            return;
+        }
         let mut i = 0;
         while i < verts.len() {
             let mut j = i + 1;
@@ -616,6 +638,34 @@ impl TraceDag {
             }
             i += 1;
         }
+    }
+
+    /// Whether two of `verts` share a hash of (preds, label summary).
+    /// Equal siblings always do, so `false` proves there are none. The
+    /// label enters only through [`ObsSet::hash_summary`]: hashing every
+    /// element of a wide label would cost more than the scan it saves.
+    fn may_have_equal_siblings(&self, verts: &[VertexId]) -> bool {
+        if verts.len() < 2 {
+            return false;
+        }
+        let mut hashes: Vec<u64> = verts
+            .iter()
+            .map(|v| {
+                let vert = &self.vertices[v.index()];
+                let mut h = FxHasher::default();
+                vert.preds.hash(&mut h);
+                match &vert.label {
+                    Label::Epsilon => h.write_u8(0),
+                    Label::Obs(o) => {
+                        h.write_u8(1);
+                        o.hash_summary(&mut h);
+                    }
+                }
+                h.finish()
+            })
+            .collect();
+        hashes.sort_unstable();
+        hashes.windows(2).any(|w| w[0] == w[1])
     }
 
     /// Upper-bounds the number of distinguishable observation sequences for
@@ -924,6 +974,71 @@ mod tests {
         // Same label, same parent: the sibling paths collapse to one
         // vertex with R = {1} — no extra factor.
         assert_eq!(dag.count(&cur).to_u64(), Some(2));
+    }
+
+    /// Number of live (not dissolved) vertices, read off `Display`.
+    fn live_vertices(dag: &TraceDag) -> usize {
+        let shown = dag.to_string();
+        let n = shown.trim_end_matches(" vertices").rsplit(' ').next();
+        n.and_then(|n| n.parse().ok())
+            .expect("Display ends in the count")
+    }
+
+    #[test]
+    fn retired_paths_merge_only_their_equal_pair() {
+        // `Lane::retire`'s shape: many halted paths, all children of one
+        // vertex, folded into one final cursor a path at a time.
+        const DISTINCT: u64 = 42;
+        let (mut dag, cur) = TraceDag::new(Observer::address());
+        let base = dag.access(cur, &consts(&[0x10]));
+        let mut paths = Vec::new();
+        // The equal pair sits at both ends; every other label has two
+        // observations. The second and third labels share their size
+        // and first observation, so their summaries collide while the
+        // labels differ.
+        let equal = consts(&[0x9000, 0x9001, 0x9002]);
+        let mut labels = vec![equal.clone()];
+        for i in 0..DISTINCT {
+            let first = if i < 2 { 0x5000 } else { 0x1000 * (i + 1) };
+            labels.push(consts(&[first, 0x100_0000 + i]));
+        }
+        labels.push(equal);
+        for label in &labels {
+            let path = dag.clone_cursor(&base);
+            paths.push(dag.access(path, label));
+        }
+        let live_before = live_vertices(&dag);
+
+        let mut finals: Option<Cursor> = None;
+        for path in paths {
+            finals = Some(match finals.take() {
+                None => path,
+                Some(acc) => dag.merge_cursors(acc, path),
+            });
+        }
+        let finals = finals.expect("paths were retired");
+        // Exactly one vertex (of the equal pair) dissolved.
+        assert_eq!(finals.vertices().len() as u64, DISTINCT + 1);
+        assert_eq!(live_vertices(&dag), live_before - 1);
+        // Closed form: 2 observations per distinct path, 3 for the
+        // merged pair counted once.
+        assert_eq!(dag.count(&finals).to_u64(), Some(2 * DISTINCT + 3));
+    }
+
+    #[test]
+    fn equal_siblings_that_are_not_disposable_do_not_merge() {
+        let (mut dag, cur) = TraceDag::new(Observer::address());
+        let base = dag.access(cur, &consts(&[0x10]));
+        // Two siblings with one label, each also held by a second cursor,
+        // so neither may be dissolved into the other.
+        let (a, b) = (dag.clone_cursor(&base), dag.clone_cursor(&base));
+        let a = dag.access(a, &consts(&[0x20, 0x30]));
+        let b = dag.access(b, &consts(&[0x20, 0x30]));
+        let _a_alias = dag.clone_cursor(&a);
+        let _b_alias = dag.clone_cursor(&b);
+        let merged = dag.merge_cursors(a, b);
+        assert_eq!(merged.vertices().len(), 2);
+        assert_eq!(dag.count(&merged).to_u64(), Some(4));
     }
 
     #[test]
