@@ -29,23 +29,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::{Analysis, AnalysisConfig, AnalysisError, AnalysisTarget, LeakReport};
-
-/// Cumulative per-phase analysis time across every job an [`Executor`]'s
-/// workers completed successfully — the daemon-lifetime counterpart of
-/// one run's [`crate::PhaseTimings`]. Purely observability: totals are
-/// monotone counters with relaxed ordering, never part of any result.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PhaseTotals {
-    /// Successfully analyzed jobs that contributed to the totals.
-    pub runs: u64,
-    /// Total abstract-interpretation (scheduler) time.
-    pub interpret: Duration,
-    /// Total sink replay time.
-    pub replay: Duration,
-    /// Total Proposition 2 counting time.
-    pub count: Duration,
-}
+use crate::{Analysis, AnalysisConfig, AnalysisError, AnalysisProfile, AnalysisTarget, LeakReport};
 
 /// The result of one batch job.
 #[derive(Debug)]
@@ -385,40 +369,8 @@ struct ExecutorShared {
     seq: AtomicU64,
     /// Pool size: the cores the executor may occupy.
     workers: usize,
-    /// Completed analyses contributing to the phase totals below.
-    runs: AtomicU64,
-    /// Cumulative interpretation time, in nanoseconds.
-    interpret_ns: AtomicU64,
-    /// Cumulative sink replay time, in nanoseconds.
-    replay_ns: AtomicU64,
-    /// Cumulative counting time, in nanoseconds.
-    count_ns: AtomicU64,
-    /// Cumulative interpreter-memo counters (see [`crate::MemoStats`]).
-    transfer_hits: AtomicU64,
-    transfer_misses: AtomicU64,
-    /// Completed analyses whose replay ran on a helper thread.
-    offloaded: AtomicU64,
-}
-
-impl ExecutorShared {
-    fn record_timings(&self, report: &LeakReport) {
-        let t = report.timings();
-        self.runs.fetch_add(1, Ordering::Relaxed);
-        self.interpret_ns
-            .fetch_add(t.interpret.as_nanos() as u64, Ordering::Relaxed);
-        self.replay_ns
-            .fetch_add(t.replay.as_nanos() as u64, Ordering::Relaxed);
-        self.count_ns
-            .fetch_add(t.count.as_nanos() as u64, Ordering::Relaxed);
-        let m = report.memo_stats();
-        self.transfer_hits
-            .fetch_add(m.transfer_hits, Ordering::Relaxed);
-        self.transfer_misses
-            .fetch_add(m.transfer_misses, Ordering::Relaxed);
-        if report.offloaded() {
-            self.offloaded.fetch_add(1, Ordering::Relaxed);
-        }
-    }
+    /// The field-wise sum of every successful job's profile.
+    profile: Mutex<AnalysisProfile>,
 }
 
 /// A persistent worker pool executing [`OwnedJob`]s from a shared,
@@ -476,13 +428,7 @@ impl Executor {
             work_ready: Condvar::new(),
             seq: AtomicU64::new(0),
             workers: threads,
-            runs: AtomicU64::new(0),
-            interpret_ns: AtomicU64::new(0),
-            replay_ns: AtomicU64::new(0),
-            count_ns: AtomicU64::new(0),
-            transfer_hits: AtomicU64::new(0),
-            transfer_misses: AtomicU64::new(0),
-            offloaded: AtomicU64::new(0),
+            profile: Mutex::new(AnalysisProfile::default()),
         });
         let workers = (0..threads)
             .map(|_| {
@@ -517,34 +463,12 @@ impl Executor {
             .running
     }
 
-    /// Cumulative per-phase analysis time over this executor's lifetime
-    /// (successful runs only; cancelled, failed, and cache-served work
-    /// contributes nothing).
-    pub fn phase_totals(&self) -> PhaseTotals {
-        PhaseTotals {
-            runs: self.shared.runs.load(Ordering::Relaxed),
-            interpret: Duration::from_nanos(self.shared.interpret_ns.load(Ordering::Relaxed)),
-            replay: Duration::from_nanos(self.shared.replay_ns.load(Ordering::Relaxed)),
-            count: Duration::from_nanos(self.shared.count_ns.load(Ordering::Relaxed)),
-        }
-    }
-
-    /// Cumulative interpreter-memo counters over this executor's
-    /// lifetime — same scope as [`Executor::phase_totals`] (successful
-    /// runs only; cache-served work contributes nothing).
-    pub fn memo_totals(&self) -> crate::MemoStats {
-        crate::MemoStats {
-            transfer_hits: self.shared.transfer_hits.load(Ordering::Relaxed),
-            transfer_misses: self.shared.transfer_misses.load(Ordering::Relaxed),
-            ..crate::MemoStats::default()
-        }
-    }
-
-    /// Successful analyses whose trace replay ran on a helper thread
-    /// because another worker had no job (same scope as
-    /// [`Executor::phase_totals`]). Always 0 on a one-worker executor.
-    pub fn offloaded(&self) -> u64 {
-        self.shared.offloaded.load(Ordering::Relaxed)
+    /// The field-wise sum of the profiles of every job this executor
+    /// completed successfully (cancelled, failed and cache-served work
+    /// contributes nothing). `offloaded` is always 0 on a one-worker
+    /// executor.
+    pub fn profile(&self) -> AnalysisProfile {
+        *self.shared.profile.lock().expect("profile poisoned")
     }
 
     /// Submits one batch; its items join the shared queue immediately.
@@ -658,7 +582,8 @@ fn worker_loop(shared: &ExecutorShared) {
                 })
             });
             if let Ok(report) = &result {
-                shared.record_timings(report);
+                let mut profile = shared.profile.lock().expect("profile poisoned");
+                profile.add(&report.profile());
             }
             BatchOutcome {
                 name: job.name.clone(),
@@ -908,9 +833,9 @@ mod tests {
     }
 
     #[test]
-    fn a_serial_executor_completes_and_accumulates_phase_totals() {
+    fn a_serial_executor_completes_and_sums_the_job_profiles() {
         let executor = Executor::with_threads(1);
-        assert_eq!(executor.phase_totals(), PhaseTotals::default());
+        assert_eq!(executor.profile(), AnalysisProfile::default());
         let input: Arc<dyn AnalysisTarget + Send + Sync> = Arc::new(secret_load_input(8));
         let batch = executor
             .submit(vec![
@@ -920,10 +845,14 @@ mod tests {
             .wait();
         assert_eq!(batch.reports().count(), 2);
         assert!(batch.wall_time() > Duration::ZERO);
-        let totals = executor.phase_totals();
-        assert_eq!(totals.runs, 2);
+        let mut sum = AnalysisProfile::default();
+        for (_, report) in batch.reports() {
+            sum.add(&report.profile());
+        }
+        assert_eq!(executor.profile(), sum);
+        assert_eq!(sum.runs, 2);
         assert!(
-            totals.interpret + totals.replay + totals.count > Duration::ZERO,
+            sum.interpret_ns + sum.replay_ns + sum.count_ns > 0,
             "a completed run leaves nonzero phase time"
         );
     }

@@ -24,7 +24,7 @@
 
 use leakaudit_x86::Program;
 
-use crate::report::{LeakReport, LeakRow, MemoStats, ObserverSpec};
+use crate::report::{AnalysisProfile, LeakReport, LeakRow, ObserverSpec};
 use crate::sink::{ConfigId, DagSink};
 use crate::state::InitState;
 use crate::{scheduler, sink, AnalysisConfig, AnalysisError};
@@ -105,14 +105,12 @@ pub(crate) fn run_union(
         }
     }
     let sinks = class_sinks(&union);
-    let mut memo = MemoStats::default();
-    let (rows, timings, offloaded) = sink::run_pipeline(sinks, offload, |bus| {
-        scheduler::drive(lead, program, init, bus, &mut memo)
+    let mut steps = AnalysisProfile::default();
+    let (rows, mut profile) = sink::run_pipeline(sinks, offload, |bus| {
+        scheduler::drive(lead, program, init, bus, &mut steps)
     })?;
-    Ok(LeakReport::new(reorder_rows(rows, &union))
-        .with_timings(timings)
-        .with_memo(memo)
-        .with_offloaded(offloaded))
+    profile.add(&steps);
+    Ok(LeakReport::new(reorder_rows(rows, &union), profile))
 }
 
 #[cfg(test)]

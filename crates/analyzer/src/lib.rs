@@ -54,14 +54,14 @@ use leakaudit_core::{CacheKeyed, FingerprintHasher, Observer};
 use leakaudit_x86::{DecodeError, Program};
 
 pub use batch::{
-    BatchOutcome, BatchReport, BatchTicket, Executor, OwnedJob, PhaseTotals, Progress,
-    ProgressProbe,
+    BatchOutcome, BatchReport, BatchTicket, Executor, OwnedJob, Progress, ProgressProbe,
 };
 pub use exec::{
     address_of, eval_cond, execute, execute_decoded, AccessVec, ForkPlan, Next, StepEffect,
 };
 pub use report::{
-    format_bits, Channel, LeakReport, LeakRow, MemoStats, ObserverSpec, PhaseTimings,
+    format_bits, AnalysisProfile, Channel, LeakReport, LeakRow, MemoStats, ObserverSpec,
+    PhaseTotals,
 };
 pub use state::{AbsState, AbstractMemory, FlagsState, InitState};
 
@@ -424,7 +424,9 @@ impl Analysis {
 
     /// Drives one abstract interpretation of `target`, publishing the
     /// raw trace-event stream on `bus` instead of counting it into a
-    /// report. Returns the run's interpreter-memo counters.
+    /// report. Returns the run's profile: its step counters
+    /// (`transfer_hits`, `transfer_misses`); everything else is zero, as
+    /// no pipeline ran.
     ///
     /// This is the bit-identity test surface: two `interpret` calls
     /// whose configs differ only in [`AnalysisConfig::interp_memo`]
@@ -438,11 +440,11 @@ impl Analysis {
         &self,
         target: &impl AnalysisTarget,
         bus: &mut dyn sink::EventBus,
-    ) -> Result<MemoStats, AnalysisError> {
+    ) -> Result<AnalysisProfile, AnalysisError> {
         let init = target.init_state();
-        let mut stats = MemoStats::default();
-        scheduler::drive(&self.config, target.program(), &init, bus, &mut stats)?;
-        Ok(stats)
+        let mut profile = AnalysisProfile::default();
+        scheduler::drive(&self.config, target.program(), &init, bus, &mut profile)?;
+        Ok(profile)
     }
 
     /// Analyzes a target once for a whole *interpretation group*: this

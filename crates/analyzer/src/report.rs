@@ -7,70 +7,136 @@ use std::time::Duration;
 use leakaudit_core::Observer;
 use leakaudit_mpi::Natural;
 
-/// Where one analysis run spent its time, split by pipeline phase.
-///
-/// Instrumentation only: timings are **not** part of result identity —
-/// they never enter cache keys or serialized rows, are zeroed when a
-/// report is decoded from cache, and two bit-identical reports may carry
-/// different timings. Each phase is busy time on the thread that ran
-/// it. When replay stays on the interpreting thread, the three phases
-/// partition the pipeline's wall clock and `total()` is its elapsed time
-/// (report assembly sits outside all three). When replay runs on a
-/// helper thread (see [`crate::sink::run_pipeline`]), interpretation and
-/// replay overlap, so `total()` can exceed the job's wall time;
-/// interpretation then excludes time spent waiting for the helper.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PhaseTimings {
+/// Declares [`AnalysisProfile`] from one field table. Each field is a
+/// `u64` counter whose name carries its unit; the table also generates
+/// [`AnalysisProfile::add`], field iteration and the flat JSON writer,
+/// so a new counter costs one line here.
+macro_rules! analysis_profile {
+    ($($(#[$attr:meta])* $field:ident,)+) => {
+        /// What one analysis cost, as flat `u64` counters — the one
+        /// record carried by [`LeakReport`], summed by the executor and
+        /// printed by the daemon's `stats` and by `perfbench`.
+        ///
+        /// Instrumentation only: never part of result identity. The
+        /// profile never enters cache keys or serialized rows, and two
+        /// bit-identical reports may carry different timings. A computed
+        /// report has `runs == 1`; cache-decoded reports and shared-pass
+        /// views carry an all-zero profile, since they ran no pipeline.
+        ///
+        /// Each `_ns` phase is busy time on the thread that ran it. When
+        /// replay stays on the interpreting thread, the three phases
+        /// partition the pipeline's wall clock (report assembly sits
+        /// outside all three). When replay runs on a helper thread (see
+        /// [`crate::sink::run_pipeline`]), interpretation and replay
+        /// overlap, so their sum can exceed the job's wall time.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct AnalysisProfile {
+            $($(#[$attr])* pub $field: u64,)+
+        }
+
+        impl AnalysisProfile {
+            /// Adds every counter of `other` into this one.
+            pub fn add(&mut self, other: &AnalysisProfile) {
+                $(self.$field += other.$field;)+
+            }
+
+            /// Every `(name, value)` pair, in table order.
+            pub fn fields(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((stringify!($field), self.$field)),+].into_iter()
+            }
+
+            /// Every `(name, counter)` pair, in table order, for writing.
+            pub fn fields_mut(&mut self) -> impl Iterator<Item = (&'static str, &mut u64)> {
+                [$((stringify!($field), &mut self.$field)),+].into_iter()
+            }
+        }
+    };
+}
+
+analysis_profile! {
+    /// Completed analysis pipelines (1 for a computed report).
+    runs,
     /// Abstract interpretation: the scheduler's fixpoint loop (decode,
-    /// transfer functions, merge planning, event emission).
-    pub interpret: Duration,
+    /// transfer functions, merge planning, event emission), less any
+    /// time spent blocked on the replay helper.
+    interpret_ns,
     /// Trace replay: sinks consuming events (cursor updates, DAG
-    /// maintenance, projections).
-    pub replay: Duration,
+    /// maintenance, projections), on whichever thread ran it.
+    replay_ns,
     /// Final counting: Proposition 2 big-number arithmetic and row
     /// conversion.
+    count_ns,
+    /// Abstract steps answered by the per-pc transfer memo (a recorded
+    /// effect replayed). Every step is exactly one hit or one miss.
+    transfer_hits,
+    /// Abstract steps that ran the naive transfer (memo misses and
+    /// bypasses; every step of a memo-off run).
+    transfer_misses,
+    /// Pipelines whose trace replay ran on a helper thread.
+    offloaded,
+}
+
+impl AnalysisProfile {
+    /// The profile as one flat JSON object, keys in table order:
+    /// `{"runs":1,"interpret_ns":…,…}`.
+    pub fn to_json(&self) -> String {
+        let fields: Vec<String> = self
+            .fields()
+            .map(|(name, value)| format!("\"{name}\":{value}"))
+            .collect();
+        format!("{{{}}}", fields.join(","))
+    }
+}
+
+/// Per-phase totals, a view of an [`AnalysisProfile`]. Kept because the
+/// benchmark client names it; everything else reads the profile.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PhaseTotals {
+    /// Completed analysis pipelines.
+    pub runs: u64,
+    /// Abstract-interpretation time.
+    pub interpret: Duration,
+    /// Sink replay time.
+    pub replay: Duration,
+    /// Proposition 2 counting time.
     pub count: Duration,
 }
 
-impl PhaseTimings {
-    /// Sum of all phases: CPU time, which exceeds wall time when replay
-    /// overlapped interpretation.
-    pub fn total(&self) -> Duration {
-        self.interpret + self.replay + self.count
-    }
-
-    /// Accumulates another run's timings into this one.
-    pub fn accumulate(&mut self, other: &PhaseTimings) {
-        self.interpret += other.interpret;
-        self.replay += other.replay;
-        self.count += other.count;
+impl From<AnalysisProfile> for PhaseTotals {
+    fn from(p: AnalysisProfile) -> Self {
+        PhaseTotals {
+            runs: p.runs,
+            interpret: Duration::from_nanos(p.interpret_ns),
+            replay: Duration::from_nanos(p.replay_ns),
+            count: Duration::from_nanos(p.count_ns),
+        }
     }
 }
 
-/// Interpreter-memo counters for one analysis run.
-///
-/// Instrumentation only, like [`PhaseTimings`]: never part of result
-/// identity, zeroed for cache-decoded reports. Every abstract step is
-/// exactly one hit or one miss.
+/// Interpreter-memo counters, a view of an [`AnalysisProfile`]. Kept
+/// because the benchmark client names it; everything else reads the
+/// profile.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoStats {
-    /// Per-pc transfer memo hits (recorded effect replayed).
+    /// Per-pc transfer memo hits.
     pub transfer_hits: u64,
-    /// Transfer memo misses and bypasses (naive transfer executed).
+    /// Transfer memo misses and bypasses.
     pub transfer_misses: u64,
-    /// Always 0: the per-pc transfer memo is the interpreter's only
-    /// memo layer. Kept because the benchmark client names it.
+    /// Always 0: the per-pc transfer memo is the interpreter's only memo
+    /// layer.
     pub script_steps: u64,
     /// Always 0: every trace event replays through the per-event DAG
-    /// update. Kept because the benchmark client names it.
+    /// update.
     pub sink_script_events: u64,
 }
 
-impl MemoStats {
-    /// Accumulates another run's counters into this one.
-    pub fn accumulate(&mut self, other: &MemoStats) {
-        self.transfer_hits += other.transfer_hits;
-        self.transfer_misses += other.transfer_misses;
+impl From<AnalysisProfile> for MemoStats {
+    fn from(p: AnalysisProfile) -> Self {
+        MemoStats {
+            transfer_hits: p.transfer_hits,
+            transfer_misses: p.transfer_misses,
+            ..MemoStats::default()
+        }
     }
 }
 
@@ -142,54 +208,21 @@ pub struct LeakRow {
 #[derive(Debug, Clone, Default)]
 pub struct LeakReport {
     rows: Vec<LeakRow>,
-    timings: PhaseTimings,
-    memo: MemoStats,
-    /// Whether replay ran on a helper thread (the executor's
-    /// `offloaded` count).
-    offloaded: bool,
+    profile: AnalysisProfile,
 }
 
 impl LeakReport {
-    pub(crate) fn new(rows: Vec<LeakRow>) -> Self {
-        LeakReport {
-            rows,
-            timings: PhaseTimings::default(),
-            memo: MemoStats::default(),
-            offloaded: false,
-        }
-    }
-
-    /// Attaches phase timings (builder style, used by the analysis
-    /// entry points). Timings are informational only — see
-    /// [`PhaseTimings`] for the identity rules.
-    pub(crate) fn with_timings(mut self, timings: PhaseTimings) -> Self {
-        self.timings = timings;
-        self
-    }
-
-    /// Attaches interpreter-memo counters (informational only, same
-    /// identity rules as timings).
-    pub(crate) fn with_memo(mut self, memo: MemoStats) -> Self {
-        self.memo = memo;
-        self
-    }
-
-    pub(crate) fn with_offloaded(mut self, offloaded: bool) -> Self {
-        self.offloaded = offloaded;
-        self
-    }
-
-    pub(crate) fn offloaded(&self) -> bool {
-        self.offloaded
+    pub(crate) fn new(rows: Vec<LeakRow>, profile: AnalysisProfile) -> Self {
+        LeakReport { rows, profile }
     }
 
     /// Reassembles a report from rows — the deserialization path of the
     /// sweep service's on-disk result cache. Callers are expected to
     /// provide rows that came out of [`LeakReport::rows`] (same specs,
-    /// same order); nothing is recomputed or checked. Timings are zero:
-    /// a cache hit did not run the pipeline.
+    /// same order); nothing is recomputed or checked. The profile is
+    /// zero: a cache hit did not run the pipeline.
     pub fn from_rows(rows: Vec<LeakRow>) -> Self {
-        LeakReport::new(rows)
+        LeakReport::new(rows, AnalysisProfile::default())
     }
 
     /// All rows.
@@ -197,14 +230,10 @@ impl LeakReport {
         &self.rows
     }
 
-    /// Where this run spent its time (zero for cache-decoded reports).
-    pub fn timings(&self) -> PhaseTimings {
-        self.timings
-    }
-
-    /// Interpreter-memo counters (zero for cache-decoded reports).
-    pub fn memo_stats(&self) -> MemoStats {
-        self.memo
+    /// What this run cost (all zero for cache-decoded reports and
+    /// shared-pass views).
+    pub fn profile(&self) -> AnalysisProfile {
+        self.profile
     }
 
     /// The leakage bound in bits for a channel/observer pair.
@@ -286,7 +315,7 @@ mod tests {
     use super::*;
 
     fn report() -> LeakReport {
-        LeakReport::new(vec![
+        LeakReport::from_rows(vec![
             LeakRow {
                 spec: ObserverSpec {
                     channel: Channel::Instruction,
@@ -326,6 +355,26 @@ mod tests {
         assert_eq!(format_bits(1152.0), "1152");
         assert_eq!(format_bits(5.643), "5.6");
         assert_eq!(format_bits(2.3219), "2.3");
+    }
+
+    #[test]
+    fn profiles_add_field_by_field_and_print_flat() {
+        let mut total = AnalysisProfile::default();
+        let one = AnalysisProfile {
+            runs: 1,
+            interpret_ns: 5,
+            transfer_hits: 2,
+            offloaded: 1,
+            ..AnalysisProfile::default()
+        };
+        total.add(&one);
+        total.add(&one);
+        assert_eq!(total.fields().map(|(_, v)| v).sum::<u64>(), 18);
+        assert_eq!(
+            total.to_json(),
+            "{\"runs\":2,\"interpret_ns\":10,\"replay_ns\":0,\"count_ns\":0,\
+             \"transfer_hits\":4,\"transfer_misses\":0,\"offloaded\":2}"
+        );
     }
 
     #[test]

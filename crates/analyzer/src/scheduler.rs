@@ -48,7 +48,7 @@ use leakaudit_x86::{Inst, Program};
 
 use crate::exec::{execute_decoded, execute_logged, rw_sets, EffectLog, Next, RwSets};
 use crate::memo::{self, TransferEffect, WayProbe, WaySet};
-use crate::report::MemoStats;
+use crate::report::AnalysisProfile;
 use crate::sink::{AccessKind, ConfigId, EventBus, TraceEvent};
 use crate::state::InitState;
 use crate::{AnalysisConfig, AnalysisError, BudgetLimit};
@@ -233,17 +233,17 @@ impl DecodeCache {
 }
 
 /// Runs the abstract interpretation of `program` from its entry to
-/// `hlt`, publishing every trace-relevant action on `bus` and
-/// accumulating interpreter-memo counters into `stats`.
+/// `hlt`, publishing every trace-relevant action on `bus` and counting
+/// every abstract step into `profile` as one transfer-memo hit or miss.
 ///
 /// The initial configuration is [`ConfigId::ROOT`]; sinks seed their
-/// root cursor under the same id (see [`crate::sink::DagSink::new`]).
+/// root cursor under the same id (see [`crate::sink::DagSink::for_class`]).
 pub(crate) fn drive(
     config: &AnalysisConfig,
     program: &Program,
     init: &InitState,
     bus: &mut dyn EventBus,
-    stats: &mut MemoStats,
+    profile: &mut AnalysisProfile,
 ) -> Result<(), AnalysisError> {
     let mut table = init.table.clone();
     let mut decode = DecodeCache::new(program);
@@ -421,7 +421,7 @@ pub(crate) fn drive(
         let (next, len) = match resolved {
             Some((_inst, len, _rw, Some(effect), _primed, _vacant)) => {
                 // Transfer memo hit: replay the recorded effect.
-                stats.transfer_hits += 1;
+                profile.transfer_hits += 1;
                 effect.apply(&mut table, &mut current.state);
                 for a in &effect.accesses {
                     bus.emit(TraceEvent::access(current.id, AccessKind::Data, a.clone()));
@@ -430,7 +430,7 @@ pub(crate) fn drive(
             }
             Some((inst, len, rw, None, primed, vacant)) => {
                 // Miss or bypass: run the real transfer.
-                stats.transfer_misses += 1;
+                profile.transfer_misses += 1;
                 let effect = if let Some(way) = primed {
                     // Second miss on the same key: journal symbol-table
                     // mutations and log memory writes so the effect can
@@ -505,7 +505,7 @@ pub(crate) fn drive(
             }
             None => {
                 // Outside every segment: the fully uncached naive path.
-                stats.transfer_misses += 1;
+                profile.transfer_misses += 1;
                 let (inst, len) = program.decode_at(pc)?;
                 let effect =
                     execute_decoded(&mut table, &mut current.state, program, pc, inst, len)?;

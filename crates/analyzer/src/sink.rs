@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 use leakaudit_core::{Cursor, ObsSet, TraceDag, ValueSet};
 use leakaudit_mpi::Natural;
 
-use crate::report::{Channel, LeakRow, ObserverSpec, PhaseTimings};
+use crate::report::{AnalysisProfile, Channel, LeakRow, ObserverSpec};
 
 /// Identifier of one live configuration (abstract execution path).
 ///
@@ -257,12 +257,6 @@ pub struct DagSink {
 }
 
 impl DagSink {
-    /// Creates a single-spec sink with the root cursor owned by
-    /// `initial`.
-    pub fn new(spec: ObserverSpec, initial: ConfigId) -> Self {
-        DagSink::for_class(std::slice::from_ref(&spec), initial)
-    }
-
     /// Creates one sink serving a whole offset-bits equivalence class,
     /// one lane per spec in the given row order.
     ///
@@ -380,21 +374,22 @@ const _: fn() = || {
 /// emission order, so the rows are bit-identical.
 ///
 /// Row order in the result is sink order, each sink's rows in its
-/// class's spec order. The flag is `true` when the helper ran. If
-/// `drive` errors, the helper is joined, the partial rows are discarded
-/// and the error is returned. A panic on the helper is re-raised on the
-/// calling thread once the helper is joined; no thread outlives the
-/// call.
+/// class's spec order. If `drive` errors, the helper is joined, the
+/// partial rows are discarded and the error is returned. A panic on the
+/// helper is re-raised on the calling thread once the helper is joined;
+/// no thread outlives the call.
 ///
-/// The returned [`PhaseTimings`] are busy times: interpretation
-/// (scheduler fixpoint, less any time spent blocked on a full channel),
-/// replay (sink event consumption, on whichever thread ran it) and
-/// counting (Proposition 2 arithmetic).
+/// The returned [`AnalysisProfile`] has `runs == 1`, the three phase
+/// busy times — interpretation (scheduler fixpoint, less any time spent
+/// blocked on a full channel), replay (sink event consumption, on
+/// whichever thread ran it) and counting (Proposition 2 arithmetic) —
+/// and `offloaded == 1` when the helper ran. Step counters are the
+/// caller's: `drive` sees only the bus.
 pub fn run_pipeline<E>(
     sinks: Vec<DagSink>,
     offload: bool,
     drive: impl FnOnce(&mut dyn EventBus) -> Result<(), E>,
-) -> Result<(Vec<LeakRow>, PhaseTimings, bool), E> {
+) -> Result<(Vec<LeakRow>, AnalysisProfile), E> {
     std::thread::scope(|scope| {
         let mut bus = Bus {
             sinks,
@@ -413,19 +408,22 @@ pub fn run_pipeline<E>(
         }
         bus.flush();
         let interpret = started.elapsed().saturating_sub(bus.replay + bus.blocked);
-        let offloaded = bus.helper.is_some();
+        let offloaded = u64::from(bus.helper.is_some());
         let (sinks, replay) = match bus.helper.take() {
             Some(helper) => helper.join(),
             None => (bus.sinks, bus.replay),
         };
         let counting = Instant::now();
         let rows: Vec<LeakRow> = sinks.into_iter().flat_map(DagSink::into_rows).collect();
-        let timings = PhaseTimings {
-            interpret,
-            replay,
-            count: counting.elapsed(),
+        let profile = AnalysisProfile {
+            runs: 1,
+            interpret_ns: interpret.as_nanos() as u64,
+            replay_ns: replay.as_nanos() as u64,
+            count_ns: counting.elapsed().as_nanos() as u64,
+            offloaded,
+            ..AnalysisProfile::default()
         };
-        Ok((rows, timings, offloaded))
+        Ok((rows, profile))
     })
 }
 
@@ -605,7 +603,7 @@ mod tests {
         sinks: Vec<DagSink>,
         drive: impl FnOnce(&mut dyn EventBus) -> Result<(), E>,
     ) -> Result<Vec<LeakRow>, E> {
-        run_pipeline(sinks, false, drive).map(|(rows, _, _)| rows)
+        run_pipeline(sinks, false, drive).map(|(rows, _)| rows)
     }
 
     #[test]
@@ -626,7 +624,7 @@ mod tests {
         ];
         let sinks: Vec<DagSink> = specs
             .iter()
-            .map(|&spec| DagSink::new(spec, ConfigId(0)))
+            .map(|spec| DagSink::for_class(std::slice::from_ref(spec), ConfigId(0)))
             .collect();
         let rows = rows(sinks, example9_events).unwrap();
         assert_eq!(rows[0].count.to_u64(), Some(2), "address observer");
@@ -649,8 +647,8 @@ mod tests {
         ];
         let solo: Vec<LeakRow> = specs
             .iter()
-            .map(|&spec| {
-                let sinks = vec![DagSink::new(spec, ConfigId(0))];
+            .map(|spec| {
+                let sinks = vec![DagSink::for_class(std::slice::from_ref(spec), ConfigId(0))];
                 rows(sinks, example9_events).unwrap().remove(0)
             })
             .collect();
@@ -670,7 +668,7 @@ mod tests {
             channel: Channel::Shared,
             observer: Observer::address(),
         };
-        let sinks = vec![DagSink::new(spec, ConfigId(0))];
+        let sinks = vec![DagSink::for_class(std::slice::from_ref(&spec), ConfigId(0))];
         let rows = rows(sinks, |bus| -> Result<(), std::convert::Infallible> {
             bus.emit(TraceEvent::Retire {
                 config: ConfigId(0),
@@ -729,7 +727,9 @@ mod tests {
                     Observer::block(6),
                     Observer::block(6).stuttering(),
                 ]
-                .map(|observer| DagSink::new(ObserverSpec { channel, observer }, ConfigId(0)))
+                .map(|observer| {
+                    DagSink::for_class(&[ObserverSpec { channel, observer }], ConfigId(0))
+                })
             })
             .collect()
     }
@@ -743,10 +743,11 @@ mod tests {
             "{} events: several chunks",
             emitted.0
         );
-        let (inline, _, inline_helper) = run_pipeline(suite_sinks(), false, long_events).unwrap();
-        let (offloaded, _, helper) = run_pipeline(suite_sinks(), true, long_events).unwrap();
-        assert!(
-            !inline_helper && helper,
+        let (inline, inline_profile) = run_pipeline(suite_sinks(), false, long_events).unwrap();
+        let (offloaded, profile) = run_pipeline(suite_sinks(), true, long_events).unwrap();
+        assert_eq!(
+            (inline_profile.offloaded, profile.offloaded),
+            (0, 1),
             "only the offloaded run starts the helper"
         );
         assert_eq!(inline.len(), offloaded.len());
@@ -763,8 +764,8 @@ mod tests {
 
     #[test]
     fn a_stream_shorter_than_a_chunk_starts_no_helper() {
-        let (rows, _, helper) = run_pipeline(suite_sinks(), true, example9_events).unwrap();
-        assert!(!helper);
+        let (rows, profile) = run_pipeline(suite_sinks(), true, example9_events).unwrap();
+        assert_eq!(profile.offloaded, 0);
         assert_eq!(rows[0].count.to_u64(), Some(2), "address observer");
     }
 
@@ -839,7 +840,7 @@ mod tests {
             channel: Channel::Shared,
             observer: Observer::address(),
         };
-        let sinks = vec![DagSink::new(spec, ConfigId(0))];
+        let sinks = vec![DagSink::for_class(std::slice::from_ref(&spec), ConfigId(0))];
         let err = rows(sinks, |bus| {
             bus.emit(TraceEvent::access(
                 ConfigId(0),

@@ -22,7 +22,9 @@
 //! constants, small secret sets, and `Top`s (the bypass path).
 
 use leakaudit_analyzer::sink::{EventBus, TraceEvent};
-use leakaudit_analyzer::{Analysis, AnalysisConfig, AnalysisInput, Budget, InitState, MemoStats};
+use leakaudit_analyzer::{
+    Analysis, AnalysisConfig, AnalysisInput, AnalysisProfile, Budget, InitState,
+};
 use leakaudit_core::ValueSet;
 use leakaudit_x86::{Asm, Cond, Mem, Reg, Reg8};
 use proptest::prelude::*;
@@ -531,7 +533,7 @@ fn seed() -> impl Strategy<Value = Seed> {
 fn interpret(
     config: &AnalysisConfig,
     input: &AnalysisInput,
-) -> (Vec<TraceEvent>, Result<MemoStats, String>) {
+) -> (Vec<TraceEvent>, Result<AnalysisProfile, String>) {
     let mut bus = Collector::default();
     let result = Analysis::new(config.clone())
         .interpret(input, &mut bus)
@@ -571,11 +573,11 @@ proptest! {
         prop_assert_eq!(memo_events.len(), naive_events.len());
         prop_assert_eq!(memo_events, naive_events);
         if let (Ok(m), Ok(n)) = (&memo_out, &naive_out) {
-            prop_assert_eq!(n.transfer_hits + n.script_steps, 0, "naive runs never memo");
+            prop_assert_eq!(n.transfer_hits, 0, "naive runs never memo");
             // Every abstract step is a miss or a hit — the naive run's
             // misses count the total.
             prop_assert_eq!(
-                m.transfer_hits + m.transfer_misses + m.script_steps,
+                m.transfer_hits + m.transfer_misses,
                 n.transfer_misses
             );
         }
@@ -749,7 +751,7 @@ fn every_budget_boundary_is_exact_on_the_scripted_loop() {
         .count() as u64;
     assert!(total > 100, "the loop runs long enough to replay");
     let stats = naive_out.expect("scripted loop converges");
-    assert_eq!(stats.transfer_hits + stats.script_steps, 0);
+    assert_eq!(stats.transfer_hits, 0);
 
     // The unlimited memoized run must actually replay, otherwise the
     // boundary sweep below proves nothing.

@@ -275,7 +275,7 @@ fn class_sinks(suite: &[ObserverSpec]) -> Vec<DagSink> {
 /// Replays the events through `sinks` on the production pipeline, with
 /// replay offloaded or inline, and returns the rows in sink order.
 fn pipeline_rows(sinks: Vec<DagSink>, events: &[TraceEvent], offload: bool) -> Vec<LeakRow> {
-    let (rows, _, _) = run_pipeline(sinks, offload, |bus| {
+    let (rows, _) = run_pipeline(sinks, offload, |bus| {
         for event in events {
             bus.emit(event.clone());
         }
@@ -335,7 +335,7 @@ proptest! {
         let class_rows = memoized_rows(&events, offload);
         let solo_sinks = suite()
             .into_iter()
-            .map(|spec| DagSink::new(spec, ConfigId::ROOT))
+            .map(|spec| DagSink::for_class(std::slice::from_ref(&spec), ConfigId::ROOT))
             .collect();
         let solo_rows = pipeline_rows(solo_sinks, &events, !offload);
         for solo in &solo_rows {

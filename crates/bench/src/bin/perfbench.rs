@@ -2,89 +2,51 @@
 //! `BENCH_*.json` performance trajectory.
 //!
 //! Unlike the Criterion benches (statistical, interactive), this binary
-//! produces one small machine-readable JSON file per PR so successive
-//! PRs can be compared on the same machine: it times every case-study
-//! scenario end to end (static analysis only) and the `batch_all_8`
-//! parallel batch — the production path — reporting the **median** of N
-//! timed iterations after a warmup.
+//! produces one small machine-readable JSON report: it times every
+//! case-study scenario end to end (static analysis only), the
+//! `batch_all_8` parallel batch and the sweep service paths, reporting
+//! the **median** of N timed iterations after a warmup. A report is one
+//! machine's numbers; compare two builds only by interleaving their runs
+//! on the same boot, never against a file recorded on another one.
 //!
 //! ```text
 //! perfbench [--quick] [--ab] [--iters N] [--warmup N] [--label STR]
-//!           [--out FILE] [--baseline FILE]
+//!           [--out FILE]
 //! ```
 //!
 //! * `--quick`: 1 iteration, no warmup (CI mode — proves the harness
 //!   runs).
 //! * `--ab`: interleaved memo A/B — each scenario is timed with the
 //!   interpreter memo on and off in strict alternation within the same
-//!   process, so the on/off ratio is a same-boot paired control (the
-//!   ROADMAP machine-shift caveat as a flag, not a hand-run ritual).
-//!   Results print per scenario and land in `ab_memo_ms` when a JSON
-//!   report is written.
+//!   process, so the on/off ratio (below 1 when the memo is faster) is a
+//!   same-boot paired control. Results print per scenario and land in
+//!   `ab_memo_ms` when a JSON report is written.
 //! * `--out FILE`: write the JSON report. Without it nothing is
 //!   written, so a plain run never overwrites a committed record.
-//! * `--baseline FILE`: embed a previous perfbench report as the
-//!   `baseline` field and compute `speedup_vs_baseline`.
 //!
-//! JSON schema (`leakaudit-perfbench/v11` — v10 without the
-//! superblock-script counters (`script_replays`, `script_replays_lone`,
-//! `script_replays_forked`, `script_steps`) inside every `interp_memo`
-//! object, whose layer is gone; that is its only change. Inherited from
-//! v10: v9 without the sink-side script-memo counters (the four `sink_script_*` fields), whose replay
-//! layer is gone, and with `scenario_phases_ms` taken as
-//! per-phase medians over the timed iterations — the same iterations
-//! as `scenarios_ms` — where v9 reported the last timed iteration.
-//! Inherited from v9: `replay` inside `speedup_vs_baseline`, the
-//! combined replay-phase ratio over the heavy cells (every
-//! `secure-retrieve`, `scatter-gather` and `defensive-gather`
-//! scenario). Inherited from v8: per-scenario interpreter-memo counter
-//! splits (`scenario_interp_memo`: name → hit/miss counters for one
-//! analysis of that scenario, where v7 had only run totals) and the
-//! optional `ab_memo_ms` section (name → `{on, off}` median
-//! ms) when `--ab` is given. Inherited from v7: the interpreter-memo
-//! run totals (`interp_memo`: cumulative transfer-memo hit/miss
-//! counters over one analysis of every scenario) and,
-//! when a v6+ baseline is given, `phase_speedup_vs_baseline` — the
-//! per-scenario interpret/replay/count phase ratios, extracted *scoped*
-//! to each scenario's own object inside the baseline's
-//! `scenario_phases_ms` so identical field names in sibling scenarios
-//! or the embedded baseline-of-the-baseline can't bleed in): `label`,
-//! `iters`, `warmup`, `threads`, `host_calib_ms` (median wall time of
-//! a fixed synthetic integer workload — identical instructions on every
-//! PR and build, so reports recorded on different boots can be
-//! normalized by this number instead of re-documenting machine shifts),
-//! `scenarios_ms` (name → median ms), `scenario_phases_ms` (name →
-//! `{interpret, replay, count}`, each the median ms of that phase over
-//! the timed iterations: where each scenario's milliseconds went —
-//! scheduler fixpoint, sink replay, or Proposition 2 counting),
-//! `total_sequential_ms` (sum of per-scenario medians),
-//! `batch_all_8_ms` (median wall time of the 8-scenario parallel
-//! batch), `sweep_cells` (size of the
-//! default registry matrix), `sweep_cold_ms` (median wall time of a
-//! cold default sweep through the service, fresh cache each iteration
-//! — since v5 the cold sweep shares scheduler passes across
-//! granularity variants, so it covers the grouped path),
-//! `sweep_warm_ms` (median wall time of the same sweep answered
-//! entirely from the result cache), `sweep_stolen_warm_ms` (the warm
-//! sweep answered through the daemon's JSON-lines protocol — the
-//! work-stealing submit/collect path plus wire encoding, i.e. what a
-//! `leakaudit-serve` client pays per warm blocking query),
-//! `sweep_stream_warm_ms` (the same warm matrix collected through the
-//! `stream` op — per-cell push encoding, the new-client path),
-//! `granularity_group_cold_ms` (a cold sweep of the pure
-//! observer-granularity matrix — every cell a granularity variant of
-//! some other cell, so the interpretation-group planner's best case:
-//! one scheduler pass per distinct binary, extra cells riding along as
-//! sinks), `evicting_sweep_ms` (the sweep re-run against a
-//! capacity-starved evicting cache, so every cell pays eviction
-//! bookkeeping plus recomputation — the bounded-memory worst case),
-//! `baseline` (a previous report or `null`), and
-//! `speedup_vs_baseline` (baseline / current, per shared metric).
+//! JSON schema `leakaudit-perfbench/v12`: `label`, `iters`, `warmup`,
+//! `threads`, `host_calib_ms` (median wall time of a fixed synthetic
+//! integer workload), `scenarios_ms` (name → median ms),
+//! `scenario_profiles` (name → that scenario's `AnalysisProfile`, each
+//! field the median over the timed iterations; the step counters are
+//! deterministic, so their median is every run's value), `profile` (the
+//! field-wise sum of `scenario_profiles`), `ab_memo_ms` (with `--ab`:
+//! name → `{on, off}` median ms), `total_sequential_ms` (sum of the
+//! per-scenario medians), `batch_all_8_ms` (the 8-scenario parallel
+//! batch), `sweep_cells` and `sweep_cold_ms` (a cold default sweep
+//! through the service, fresh cache each iteration), `sweep_warm_ms`
+//! (the same sweep answered from the result cache),
+//! `sweep_stolen_warm_ms` (the warm sweep through the daemon's
+//! JSON-lines `result` op), `sweep_stream_warm_ms` (the same through the
+//! `stream` op), `granularity_cells` and `granularity_group_cold_ms` (a
+//! cold sweep of the observer-granularity matrix, where every cell
+//! shares a scheduler pass), and `evicting_sweep_ms` (the default sweep
+//! against a cache too small to keep any report).
 
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use leakaudit_analyzer::{Analysis, MemoStats, PhaseTimings};
+use leakaudit_analyzer::{Analysis, AnalysisProfile};
 use leakaudit_scenarios::{analyze_all, Registry, Scenario};
 use leakaudit_service::{Daemon, Json, SweepEngine};
 
@@ -93,7 +55,6 @@ struct Args {
     warmup: usize,
     label: String,
     out: Option<String>,
-    baseline: Option<String>,
     ab: bool,
 }
 
@@ -103,7 +64,6 @@ fn parse_args() -> Args {
         warmup: 2,
         label: String::from("perfbench"),
         out: None,
-        baseline: None,
         ab: false,
     };
     let mut it = std::env::args().skip(1);
@@ -122,11 +82,10 @@ fn parse_args() -> Args {
             "--warmup" => args.warmup = value_of("--warmup").parse().expect("--warmup: integer"),
             "--label" => args.label = value_of("--label"),
             "--out" => args.out = Some(value_of("--out")),
-            "--baseline" => args.baseline = Some(value_of("--baseline")),
             "--help" | "-h" => {
                 eprintln!(
                     "usage: perfbench [--quick] [--ab] [--iters N] [--warmup N] \
-                     [--label STR] [--out FILE] [--baseline FILE]"
+                     [--label STR] [--out FILE]"
                 );
                 std::process::exit(0);
             }
@@ -159,36 +118,6 @@ fn measure(iters: usize, warmup: usize, mut f: impl FnMut()) -> f64 {
         f();
     }
     median_ms((0..iters).map(|_| time_ms(&mut f)).collect())
-}
-
-/// Pulls a numeric field out of a (flat enough) previous report without a
-/// JSON dependency: finds `"key":` at any nesting level *outside* the
-/// embedded `baseline` object by scanning the first occurrence.
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts `field` from the `name`-keyed object inside the named
-/// top-level `section` of a previous report. [`extract_number`] is a
-/// first-occurrence scan — fine for globally-unique keys, wrong for
-/// per-scenario phase fields whose names (`interpret`, `replay`,
-/// `count`) repeat in every sibling object *and* in the embedded
-/// baseline-of-the-baseline. This narrows the scan to the scenario's
-/// own `{...}` before extracting.
-fn extract_scoped(json: &str, section: &str, name: &str, field: &str) -> Option<f64> {
-    let sec_needle = format!("\"{section}\":");
-    let body = &json[json.find(&sec_needle)? + sec_needle.len()..];
-    let obj_needle = format!("\"{name}\":");
-    let obj = &body[body.find(&obj_needle)? + obj_needle.len()..];
-    let open = obj.find('{')?;
-    let close = obj[open..].find('}')? + open;
-    extract_number(&obj[open..=close], field)
 }
 
 fn json_escape(s: &str) -> String {
@@ -224,46 +153,24 @@ fn host_calibration_ms() -> f64 {
     )
 }
 
-/// The combined replay-phase speedup over the *heavy* cells — every
-/// `secure-retrieve`, `scatter-gather` and `defensive-gather` scenario,
-/// where most of the sink-replay phase lives. `None` when the
-/// baseline predates `scenario_phases_ms` (pre-v6) or the current
-/// combined replay time is zero.
-fn heavy_replay_speedup(base: &str, scenario_phases: &[(&str, PhaseTimings)]) -> Option<f64> {
-    let heavy = |name: &str| {
-        ["secure-retrieve", "scatter-gather", "defensive-gather"]
+/// Each field's median over the given runs' profiles (the upper
+/// median for an even count).
+fn median_profile(samples: &[AnalysisProfile]) -> AnalysisProfile {
+    let mut median = AnalysisProfile::default();
+    for (i, (_, value)) in median.fields_mut().enumerate() {
+        let mut column: Vec<u64> = samples
             .iter()
-            .any(|p| name.starts_with(p))
-    };
-    let mut now = 0.0;
-    let mut then = 0.0;
-    for (name, phases) in scenario_phases {
-        if !heavy(name) {
-            continue;
-        }
-        now += phase_ms(phases.replay);
-        then += extract_scoped(base, "scenario_phases_ms", name, "replay")?;
+            .map(|p| p.fields().nth(i).expect("same fields").1)
+            .collect();
+        column.sort_unstable();
+        *value = column[column.len() / 2];
     }
-    (now > 0.0).then(|| then / now)
+    median
 }
 
-/// Milliseconds of one phase duration, for report fields.
-fn phase_ms(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e3
-}
-
-/// Each phase's median over the given iterations' phase splits, taken
-/// phase by phase.
-fn median_phases(samples: &[PhaseTimings]) -> PhaseTimings {
-    let median = |phase: fn(&PhaseTimings) -> Duration| {
-        let ms = median_ms(samples.iter().map(|p| phase_ms(phase(p))).collect());
-        Duration::from_secs_f64(ms / 1e3)
-    };
-    PhaseTimings {
-        interpret: median(|p| p.interpret),
-        replay: median(|p| p.replay),
-        count: median(|p| p.count),
-    }
+/// Milliseconds of a nanosecond counter, for console lines.
+fn ns_ms(ns: u64) -> f64 {
+    ns as f64 / 1e6
 }
 
 fn main() {
@@ -286,40 +193,34 @@ fn main() {
     );
 
     let mut scenario_ms: Vec<(&str, f64)> = Vec::new();
-    let mut scenario_phases: Vec<(&str, PhaseTimings)> = Vec::new();
-    let mut scenario_memo: Vec<(&str, MemoStats)> = Vec::new();
-    let mut memo_totals = MemoStats::default();
+    let mut scenario_profiles: Vec<(&str, AnalysisProfile)> = Vec::new();
+    let mut total = AnalysisProfile::default();
     for s in &scenarios {
-        // Phase splits of every run, warmup first; the memo counters are
-        // deterministic, so any run's will do.
-        let mut runs: Vec<PhaseTimings> = Vec::new();
-        let mut memo = MemoStats::default();
+        // The profile of every run, warmup first.
+        let mut runs: Vec<AnalysisProfile> = Vec::new();
         let ms = measure(args.iters, args.warmup, || {
-            let report = s.analyze().expect("analysis converges");
-            runs.push(report.timings());
-            memo = report.memo_stats();
+            runs.push(s.analyze().expect("analysis converges").profile());
         });
-        let phases = median_phases(&runs[args.warmup..]);
+        let profile = median_profile(&runs[args.warmup..]);
         println!("  {:<42} {:>9.2} ms", s.name, ms);
         println!(
             "      phases: interpret {:.2} ms | replay {:.2} ms | count {:.2} ms",
-            phase_ms(phases.interpret),
-            phase_ms(phases.replay),
-            phase_ms(phases.count),
+            ns_ms(profile.interpret_ns),
+            ns_ms(profile.replay_ns),
+            ns_ms(profile.count_ns),
         );
         println!(
             "      memo: {} hits / {} misses",
-            memo.transfer_hits, memo.transfer_misses,
+            profile.transfer_hits, profile.transfer_misses,
         );
         scenario_ms.push((s.name.as_str(), ms));
-        scenario_phases.push((s.name.as_str(), phases));
-        scenario_memo.push((s.name.as_str(), memo));
-        memo_totals.accumulate(&memo);
+        scenario_profiles.push((s.name.as_str(), profile));
+        total.add(&profile);
     }
     let total_sequential: f64 = scenario_ms.iter().map(|(_, ms)| ms).sum();
     println!(
         "  interp memo: {} transfer hits / {} misses",
-        memo_totals.transfer_hits, memo_totals.transfer_misses,
+        total.transfer_hits, total.transfer_misses,
     );
 
     // Interleaved memo A/B: on and off alternate within the same loop,
@@ -349,11 +250,11 @@ fn main() {
             let on = median_ms(on_samples);
             let off = median_ms(off_samples);
             println!(
-                "    {:<40} on {:>8.2} ms | off {:>8.2} ms | off/on {:.2}x",
+                "    {:<40} on {:>8.2} ms | off {:>8.2} ms | on/off {:.2}x",
                 s.name,
                 on,
                 off,
-                off / on
+                on / off
             );
             ab_memo.push((s.name.as_str(), on, off));
         }
@@ -511,48 +412,13 @@ fn main() {
         evicting_sweep_ms
     );
 
-    let baseline_text = args.baseline.as_ref().map(|path| {
-        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"))
-    });
-    if let Some(base) = &baseline_text {
-        if let Some(base_batch) = extract_number(base, "batch_all_8_ms") {
-            println!(
-                "  speedup vs baseline: batch_all_8 {:.2}x, sequential {:.2}x",
-                base_batch / batch_ms,
-                extract_number(base, "total_sequential_ms").unwrap_or(f64::NAN) / total_sequential,
-            );
-        }
-        if let Some(r) = heavy_replay_speedup(base, &scenario_phases) {
-            println!("  heavy-cell replay speedup vs baseline: {r:.2}x");
-        }
-        // Per-phase ratios, scoped to each scenario's own object in the
-        // baseline's `scenario_phases_ms` (absent for pre-v6 baselines).
-        let ratio = |name: &str, field: &str, current_ms: f64| -> String {
-            match extract_scoped(base, "scenario_phases_ms", name, field) {
-                Some(b) if current_ms > 0.0 => format!("{:.2}x", b / current_ms),
-                _ => "n/a".into(),
-            }
-        };
-        for (name, phases) in &scenario_phases {
-            let interpret = ratio(name, "interpret", phase_ms(phases.interpret));
-            if interpret == "n/a" {
-                continue;
-            }
-            println!(
-                "  phase speedup vs baseline: {name} interpret {interpret} | replay {} | count {}",
-                ratio(name, "replay", phase_ms(phases.replay)),
-                ratio(name, "count", phase_ms(phases.count)),
-            );
-        }
-    }
-
     let Some(out_path) = &args.out else {
         println!("(no --out: no JSON written)");
         return;
     };
 
     let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"schema\": \"leakaudit-perfbench/v11\",");
+    let _ = writeln!(json, "  \"schema\": \"leakaudit-perfbench/v12\",");
     let _ = writeln!(json, "  \"label\": \"{}\",", json_escape(&args.label));
     let _ = writeln!(json, "  \"iters\": {},", args.iters);
     let _ = writeln!(json, "  \"warmup\": {},", args.warmup);
@@ -564,35 +430,17 @@ fn main() {
         let _ = writeln!(json, "    \"{name}\": {ms:.3}{comma}");
     }
     let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"scenario_phases_ms\": {{");
-    for (i, (name, phases)) in scenario_phases.iter().enumerate() {
-        let comma = if i + 1 < scenario_phases.len() {
+    let _ = writeln!(json, "  \"scenario_profiles\": {{");
+    for (i, (name, profile)) in scenario_profiles.iter().enumerate() {
+        let comma = if i + 1 < scenario_profiles.len() {
             ","
         } else {
             ""
         };
-        let _ = writeln!(
-            json,
-            "    \"{name}\": {{\"interpret\": {:.3}, \"replay\": {:.3}, \"count\": {:.3}}}{comma}",
-            phase_ms(phases.interpret),
-            phase_ms(phases.replay),
-            phase_ms(phases.count),
-        );
+        let _ = writeln!(json, "    \"{name}\": {}{comma}", profile.to_json());
     }
     let _ = writeln!(json, "  }},");
-    let memo_obj = |m: &MemoStats| {
-        format!(
-            "{{\"transfer_hits\": {}, \"transfer_misses\": {}}}",
-            m.transfer_hits, m.transfer_misses,
-        )
-    };
-    let _ = writeln!(json, "  \"scenario_interp_memo\": {{");
-    for (i, (name, memo)) in scenario_memo.iter().enumerate() {
-        let comma = if i + 1 < scenario_memo.len() { "," } else { "" };
-        let _ = writeln!(json, "    \"{name}\": {}{comma}", memo_obj(memo));
-    }
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"interp_memo\": {},", memo_obj(&memo_totals));
+    let _ = writeln!(json, "  \"profile\": {},", total.to_json());
     if args.ab {
         let _ = writeln!(json, "  \"ab_memo_ms\": {{");
         for (i, (name, on, off)) in ab_memo.iter().enumerate() {
@@ -622,71 +470,7 @@ fn main() {
         json,
         "  \"granularity_group_cold_ms\": {granularity_group_cold_ms:.3},"
     );
-    let _ = writeln!(json, "  \"evicting_sweep_ms\": {evicting_sweep_ms:.3},");
-    match &baseline_text {
-        Some(base) => {
-            let speedup = |key: &str, current: f64| {
-                extract_number(base, key)
-                    .map_or_else(|| "null".into(), |b| format!("{:.3}", b / current))
-            };
-            let speedup_batch = speedup("batch_all_8_ms", batch_ms);
-            let speedup_seq = speedup("total_sequential_ms", total_sequential);
-            // Sweep metrics exist only in v2+ baselines (and the daemon
-            // metrics only in v3+): null against older baselines.
-            let speedup_cold = speedup("sweep_cold_ms", sweep_cold_ms);
-            let speedup_warm = speedup("sweep_warm_ms", sweep_warm_ms);
-            let speedup_stolen = speedup("sweep_stolen_warm_ms", sweep_stolen_warm_ms);
-            // Stream metric exists only in v4+ baselines, the
-            // granularity-group metric only in v5+: null against older
-            // ones.
-            let speedup_stream = speedup("sweep_stream_warm_ms", sweep_stream_warm_ms);
-            let speedup_group = speedup("granularity_group_cold_ms", granularity_group_cold_ms);
-            let speedup_evicting = speedup("evicting_sweep_ms", evicting_sweep_ms);
-            // Combined replay phase over the heavy cells.
-            let speedup_replay = heavy_replay_speedup(base, &scenario_phases)
-                .map_or_else(|| "null".into(), |r| format!("{r:.3}"));
-            // Scoped per-scenario phase ratios (null per-field when the
-            // baseline predates scenario_phases_ms or a phase is zero).
-            let phase_speedup = |name: &str, field: &str, current_ms: f64| {
-                extract_scoped(base, "scenario_phases_ms", name, field)
-                    .filter(|_| current_ms > 0.0)
-                    .map_or_else(|| "null".into(), |b| format!("{:.3}", b / current_ms))
-            };
-            let _ = writeln!(json, "  \"phase_speedup_vs_baseline\": {{");
-            for (i, (name, phases)) in scenario_phases.iter().enumerate() {
-                let comma = if i + 1 < scenario_phases.len() {
-                    ","
-                } else {
-                    ""
-                };
-                let _ = writeln!(
-                    json,
-                    "    \"{name}\": {{\"interpret\": {}, \"replay\": {}, \"count\": {}}}{comma}",
-                    phase_speedup(name, "interpret", phase_ms(phases.interpret)),
-                    phase_speedup(name, "replay", phase_ms(phases.replay)),
-                    phase_speedup(name, "count", phase_ms(phases.count)),
-                );
-            }
-            let _ = writeln!(json, "  }},");
-            let indented = base.trim_end().replace('\n', "\n  ");
-            let _ = writeln!(json, "  \"baseline\": {indented},");
-            let _ = writeln!(json, "  \"speedup_vs_baseline\": {{");
-            let _ = writeln!(json, "    \"batch_all_8\": {speedup_batch},");
-            let _ = writeln!(json, "    \"total_sequential\": {speedup_seq},");
-            let _ = writeln!(json, "    \"sweep_cold\": {speedup_cold},");
-            let _ = writeln!(json, "    \"sweep_warm\": {speedup_warm},");
-            let _ = writeln!(json, "    \"sweep_stolen_warm\": {speedup_stolen},");
-            let _ = writeln!(json, "    \"sweep_stream_warm\": {speedup_stream},");
-            let _ = writeln!(json, "    \"granularity_group_cold\": {speedup_group},");
-            let _ = writeln!(json, "    \"evicting_sweep\": {speedup_evicting},");
-            let _ = writeln!(json, "    \"replay\": {speedup_replay}");
-            let _ = writeln!(json, "  }}");
-        }
-        None => {
-            let _ = writeln!(json, "  \"baseline\": null,");
-            let _ = writeln!(json, "  \"speedup_vs_baseline\": null");
-        }
-    }
+    let _ = writeln!(json, "  \"evicting_sweep_ms\": {evicting_sweep_ms:.3}");
     json.push_str("}\n");
     std::fs::write(out_path, json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
     println!("wrote {out_path}");

@@ -156,10 +156,10 @@ mod tests {
         // to the naive interpreter's.
         let s = variant(8, 12, 6);
         let report = s.analyze().unwrap();
-        let m = report.memo_stats();
+        let profile = report.profile();
         assert!(
-            m.transfer_hits > 0,
-            "interpreter never hit the transfer memo: {m:?}"
+            profile.transfer_hits > 0,
+            "interpreter never hit the transfer memo: {profile:?}"
         );
         let mut naive = s.analysis_config();
         naive.interp_memo = false;

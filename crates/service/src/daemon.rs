@@ -34,7 +34,7 @@
 //! → {"op":"cancel","job":1}
 //! ← {"ok":true,"job":1,"cancelled":true}
 //! → {"op":"stats"}
-//! ← {"ok":true,"cache":{…},…,"jobs":2,"executor":{…},…,"ops":{…},"workers":…}
+//! ← {"ok":true,"cache":{…},…,"jobs":2,"executor":{…},"profile":{…},"ops":{…},"workers":…}
 //! → {"op":"shutdown"}
 //! ← {"ok":true,"shutting_down":true}
 //! ```
@@ -46,10 +46,11 @@
 //! integral bound is `"bits":1` on the wire and on disk). Two responses
 //! — and the per-cell lines of a `stream` — are bit-comparable as text.
 //!
-//! `stats` carries an `ops` table with, per op, the request count,
-//! cumulative handling time (`us`) and response bytes; `result` and
-//! `stream` add `wait_us` (blocked on the job's cells) and `render_us`
-//! (writing cell text).
+//! `stats` carries `profile`, the field-wise sum of every computed
+//! analysis' `AnalysisProfile`, and an `ops` table with, per op, the
+//! request count, cumulative handling time (`us`) and response bytes;
+//! `result` and `stream` add `wait_us` (blocked on the job's cells) and
+//! `render_us` (writing cell text).
 //!
 //! `submit_sweep` takes an optional `config` override object (the
 //! request's [`AuditProfile`]): `block_bits`/`bank_bits`/`page_bits`
@@ -626,41 +627,15 @@ impl Daemon {
                     ("workers", Json::num(self.engine.workers() as u64)),
                     ("pending", Json::num(self.engine.pending_jobs() as u64)),
                     ("in_flight", Json::num(self.engine.in_flight_jobs() as u64)),
-                    ("offloaded", Json::num(self.engine.offloaded_jobs())),
                 ]),
             ),
             (
-                // Daemon-lifetime phase-time counters (microseconds):
-                // where analysis time went across every computed cell.
-                // Cache hits don't run the pipeline and contribute
-                // nothing — warm daemons show flat counters.
-                "timings",
-                {
-                    let totals = self.engine.phase_totals();
-                    Json::obj([
-                        ("analyzed", Json::num(totals.runs)),
-                        (
-                            "interpret_us",
-                            Json::num(totals.interpret.as_micros() as u64),
-                        ),
-                        ("replay_us", Json::num(totals.replay.as_micros() as u64)),
-                        ("count_us", Json::num(totals.count.as_micros() as u64)),
-                    ])
-                },
-            ),
-            (
-                // Daemon-lifetime interpreter-memo counters: how often
-                // the per-pc transfer memo short-circuited the abstract
-                // interpreter. Same scope as `timings` — cache-served
-                // cells contribute nothing.
-                "interp_memo",
-                {
-                    let memo = self.engine.memo_totals();
-                    Json::obj([
-                        ("transfer_hits", Json::num(memo.transfer_hits)),
-                        ("transfer_misses", Json::num(memo.transfer_misses)),
-                    ])
-                },
+                // Daemon-lifetime sum of every computed analysis'
+                // profile (the shared `AnalysisProfile` writer). Cache
+                // hits and shared-pass views run no pipeline and add
+                // nothing, so warm daemons show flat counters.
+                "profile",
+                Json::Raw(self.engine.profile().to_json()),
             ),
             (
                 // Daemon-lifetime per-op counters (see `OpCounters`).
@@ -989,24 +964,22 @@ mod tests {
         assert_eq!(cache.get("entries").and_then(Json::as_u64), Some(1));
         assert_eq!(stats.get("jobs").and_then(Json::as_u64), Some(1));
 
-        // Phase-timing counters: the computed sweep ran the pipeline, so
-        // exactly one analysis contributed and some phase is nonzero.
-        let timings = stats.get("timings").unwrap();
-        assert_eq!(timings.get("analyzed").and_then(Json::as_u64), Some(1));
-        let phase_us: u64 = ["interpret_us", "replay_us", "count_us"]
+        // The profile: the computed sweep ran the pipeline once, so
+        // some phase is nonzero; the gather loop revisits its body with
+        // recurring inputs, so the transfer memo must have hit.
+        let profile = stats.get("profile").unwrap();
+        let field = |k: &str| profile.get(k).and_then(Json::as_u64).unwrap();
+        assert_eq!(field("runs"), 1);
+        let phase_ns: u64 = ["interpret_ns", "replay_ns", "count_ns"]
             .iter()
-            .map(|k| timings.get(k).and_then(Json::as_u64).unwrap())
+            .map(|k| field(k))
             .sum();
-        assert!(phase_us > 0, "computed cell leaves nonzero phase time");
-
-        // Interpreter-memo counters ride beside the timings block: the
-        // gather loop revisits its body with recurring inputs, so the
-        // transfer memo must have hit.
-        let memo = stats.get("interp_memo").unwrap();
-        let hits = memo.get("transfer_hits").and_then(Json::as_u64).unwrap();
-        let misses = memo.get("transfer_misses").and_then(Json::as_u64).unwrap();
-        assert!(hits > 0, "loop bodies must hit the transfer memo");
-        assert!(misses > 0, "first visits always miss");
+        assert!(phase_ns > 0, "computed cell leaves nonzero phase time");
+        assert!(
+            field("transfer_hits") > 0,
+            "loop bodies must hit the transfer memo"
+        );
+        assert!(field("transfer_misses") > 0, "first visits always miss");
 
         // Per-op counters: one line of each op so far, the result split
         // into waiting and rendering within its total.

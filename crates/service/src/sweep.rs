@@ -33,8 +33,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use leakaudit_analyzer::{
-    AnalysisConfig, AnalysisError, BatchTicket, Budget, Executor, LeakReport, MemoStats, OwnedJob,
-    PhaseTotals, ProgressProbe,
+    AnalysisConfig, AnalysisError, AnalysisProfile, BatchTicket, Budget, Executor, LeakReport,
+    MemoStats, OwnedJob, PhaseTotals, ProgressProbe,
 };
 use leakaudit_cache::{CacheConfig, CycleModel, Hierarchy, Policy};
 use leakaudit_scenarios::{Registry, Scenario, ScenarioSpec};
@@ -502,28 +502,25 @@ impl SweepEngine {
         self.executor.get().map_or(0, Executor::in_flight)
     }
 
-    /// Computed analyses whose trace replay ran on a helper thread while
-    /// another worker was idle (0 when the pool was never spawned).
-    pub fn offloaded_jobs(&self) -> u64 {
-        self.executor.get().map_or(0, Executor::offloaded)
+    /// The field-wise sum of the profiles of every analysis this
+    /// engine's executor completed (zero when the pool was never
+    /// spawned; cache hits and shared-pass views contribute nothing).
+    pub fn profile(&self) -> AnalysisProfile {
+        self.executor
+            .get()
+            .map_or_else(AnalysisProfile::default, Executor::profile)
     }
 
-    /// Cumulative interpret/replay/count phase time across every
-    /// analysis this engine's executor completed (zero when the pool
-    /// was never spawned; cache hits contribute nothing).
+    /// [`SweepEngine::profile`]'s phase times, kept for the benchmark
+    /// client.
     pub fn phase_totals(&self) -> PhaseTotals {
-        self.executor
-            .get()
-            .map_or_else(PhaseTotals::default, Executor::phase_totals)
+        self.profile().into()
     }
 
-    /// Cumulative interpreter-memo hit/miss counters across every
-    /// analysis this engine's executor completed (zero when the pool
-    /// was never spawned; cache hits contribute nothing).
+    /// [`SweepEngine::profile`]'s memo counters, kept for the benchmark
+    /// client.
     pub fn memo_totals(&self) -> MemoStats {
-        self.executor
-            .get()
-            .map_or_else(MemoStats::default, Executor::memo_totals)
+        self.profile().into()
     }
 
     /// Answers one cell (a "single query" against the service).

@@ -226,32 +226,28 @@ fn memo_off_union_pass_is_byte_identical_and_key_identical() {
     }
 
     // The naive engine really did take the naive path: its lifetime
-    // memo counters show misses and not a single hit or script step.
-    let stats = naive_engine.memo_totals();
-    assert_eq!(stats.transfer_hits, 0, "memo off must never hit");
-    assert_eq!(stats.script_steps, 0, "memo off must never script");
-    assert!(stats.transfer_misses > 0, "naive steps count as misses");
+    // profile shows misses and not a single hit.
+    let profile = naive_engine.profile();
+    assert_eq!(profile.transfer_hits, 0, "memo off must never hit");
+    assert!(profile.transfer_misses > 0, "naive steps count as misses");
 }
 
 #[test]
-fn phase_timings_ride_along_without_touching_identity() {
-    use leakaudit_analyzer::PhaseTimings;
-    use std::time::Duration;
+fn profiles_ride_along_without_touching_identity() {
+    use leakaudit_analyzer::AnalysisProfile;
 
-    // A computed cell's report carries a real phase split: interpret is
-    // the scheduler's wall time and is never zero for a real binary.
+    // A computed cell's report carries a real profile: one run, and an
+    // interpret time that is never zero for a real binary.
     let sa = ScenarioSpec::new(FamilyParams::SquareAlways { opt: Opt::O2 }, 6);
     let engine = SweepEngine::new();
     let cold = engine.query(&sa);
     assert_eq!(cold.provenance, Provenance::Computed);
-    let timings = cold.result.as_ref().unwrap().timings();
-    assert!(timings.interpret > Duration::ZERO);
-    assert!(timings.total() >= timings.interpret);
+    let profile = cold.result.as_ref().unwrap().profile();
+    assert_eq!(profile.runs, 1);
+    assert!(profile.interpret_ns > 0);
 
-    // The executor folds the same run into its lifetime totals.
-    let totals = engine.phase_totals();
-    assert_eq!(totals.runs, 1);
-    assert!(totals.interpret + totals.replay + totals.count > Duration::ZERO);
+    // The executor folds the same run into its lifetime profile.
+    assert_eq!(engine.profile(), profile);
 
     // None of it is part of result identity: an independent engine's run
     // of the same cell has its own wall-clock split, yet every wire row
@@ -259,14 +255,14 @@ fn phase_timings_ride_along_without_touching_identity() {
     let rerun = SweepEngine::new().query(&sa);
     assert_eq!(rendered_rows(&rerun), rendered_rows(&cold));
 
-    // Warm hits share the cold report Arc, timings included; shared-pass
-    // members view the pass through a demuxed report whose split is
+    // Warm hits share the cold report Arc, profile included; shared-pass
+    // members view the pass through a demuxed report whose profile is
     // zero — a view did not pay for the pass. The lead's pass is still
-    // accounted once in the executor totals.
+    // accounted once in the executor's profile.
     let warm = engine.query(&sa);
     assert_eq!(warm.provenance, Provenance::MemoryHit);
-    assert_eq!(warm.result.as_ref().unwrap().timings(), timings);
-    assert_eq!(engine.phase_totals().runs, 1, "a cache hit runs nothing");
+    assert_eq!(warm.result.as_ref().unwrap().profile(), profile);
+    assert_eq!(engine.profile().runs, 1, "a cache hit runs nothing");
 
     let registry = Registry::granularity_sweep();
     let grouped_engine = SweepEngine::new();
@@ -274,17 +270,17 @@ fn phase_timings_ride_along_without_touching_identity() {
     for cell in grouped.cells() {
         if let Provenance::SharedPass { .. } = cell.provenance {
             assert_eq!(
-                cell.result.as_ref().unwrap().timings(),
-                PhaseTimings::default(),
-                "{}: a shared-pass view carries no split of its own",
+                cell.result.as_ref().unwrap().profile(),
+                AnalysisProfile::default(),
+                "{}: a shared-pass view carries no profile of its own",
                 cell.spec.id()
             );
         }
     }
     assert_eq!(
-        grouped_engine.phase_totals().runs,
+        grouped_engine.profile().runs,
         grouped.computed() as u64,
-        "one timed run per scheduler pass"
+        "one profiled run per scheduler pass"
     );
 }
 

@@ -76,7 +76,7 @@ fn offloaded_replay_matches_inline_replay_one_job_at_a_time() {
             .iter()
             .map(|s| executor.submit(vec![s.batch_job()]).wait())
             .collect();
-        (reports, executor.offloaded())
+        (reports, executor.profile().offloaded)
     };
     let ((offloaded, helpers), (inline, none)) = (run(2), run(1));
     assert!(helpers > 0, "the two-worker executor offloaded replay");
