@@ -1,5 +1,5 @@
-//! The fixpoint engine: one abstract-interpretation pass feeding a
-//! pipeline of per-observer trace sinks.
+//! The fixpoint engine: one abstract-interpretation pass feeding one
+//! trace sink for the whole observer suite.
 //!
 //! This module is a thin orchestrator over two layers that used to be
 //! welded together in a single monolithic loop:
@@ -9,82 +9,39 @@
 //!   points, and the fuel/configuration resource limits. It publishes
 //!   every trace-relevant action as a [`crate::sink::TraceEvent`].
 //! * [`crate::sink`] owns *observation* — one [`crate::sink::DagSink`]
-//!   per offset-bits class of observer specs replays the event stream
-//!   against one trace DAG per spec and produces the Theorem 1 leakage
-//!   bound for each observer.
+//!   replays the event stream against one trace DAG per observer spec,
+//!   projecting each access once per granularity, and produces the
+//!   Theorem 1 leakage bound for each observer, in suite order.
 //!
-//! Because the sinks are mutually independent, the pipeline buffers the
-//! event stream and replays it through each sink a chunk at a time: the
-//! full observer suite (18 specs by default) costs one abstract pass
-//! plus chunked bookkeeping, rather than 18 cursor updates interleaved
-//! into every scheduler step. Because the stream flows one way, the
-//! chunks can also replay on a helper thread while the scheduler keeps
-//! interpreting; the executor asks for that only when a worker's core
-//! would otherwise sit idle, and the public entry points replay inline.
+//! The pipeline buffers the event stream and replays it through the
+//! sink a chunk at a time: the full observer suite (18 specs by
+//! default) costs one abstract pass plus chunked bookkeeping, rather
+//! than 18 cursor updates interleaved into every scheduler step.
+//! Because the stream flows one way, the chunks can also replay on a
+//! helper thread while the scheduler keeps interpreting; the executor
+//! asks for that only when a worker's core would otherwise sit idle,
+//! and the public entry points replay inline.
 
 use leakaudit_x86::Program;
 
-use crate::report::{AnalysisProfile, LeakReport, LeakRow, ObserverSpec};
-use crate::sink::{ConfigId, DagSink};
+use crate::report::{AnalysisProfile, LeakReport, ObserverSpec};
+use crate::sink::DagSink;
 use crate::state::InitState;
 use crate::{scheduler, sink, AnalysisConfig, AnalysisError};
-
-/// Groups an observer suite into its offset-bits equivalence classes —
-/// first-occurrence class order, in-class spec order preserved — and
-/// builds one [`DagSink`] per class. Replay front-end work then scales
-/// with the number of *granularities* (4 for the default 18-spec
-/// suite), not the number of specs: each class derives the memo key and
-/// resolves the projection once per event and fans the observation out
-/// to the member lanes whose channel sees the access. Because every
-/// granularity resolves each distinct address set exactly once, the
-/// sinks need no pass-wide projection sharing.
-fn class_sinks(suite: &[ObserverSpec]) -> Vec<DagSink> {
-    let mut classes: Vec<(u8, Vec<ObserverSpec>)> = Vec::new();
-    for &spec in suite {
-        let key = spec.observer.offset_bits();
-        match classes.iter_mut().find(|(b, _)| *b == key) {
-            Some((_, members)) => members.push(spec),
-            None => classes.push((key, vec![spec])),
-        }
-    }
-    classes
-        .into_iter()
-        .map(|(_, members)| DagSink::for_class(&members, ConfigId::ROOT))
-        .collect()
-}
-
-/// Restores flattened class-sink rows to exact suite order. The sweep
-/// service's row-selection demux and the cache row encoding both rely on
-/// report rows matching suite order, so class grouping must not leak
-/// into row order. Quadratic, but suites are tens of specs.
-fn reorder_rows(mut rows: Vec<LeakRow>, suite: &[ObserverSpec]) -> Vec<LeakRow> {
-    debug_assert_eq!(rows.len(), suite.len(), "one row per suite spec");
-    suite
-        .iter()
-        .map(|spec| {
-            let idx = rows
-                .iter()
-                .position(|r| r.spec == *spec)
-                .expect("row for every suite spec");
-            rows.swap_remove(idx)
-        })
-        .collect()
-}
 
 /// Runs one abstract interpretation of `program` from its entry to `hlt`
 /// for an interpretation group (a lone analysis is the group with no
 /// members): `lead` drives the scheduler (its interpretation fields are
 /// shared by every `member` — the service groups cells by exactly those
-/// fields), and the attached sinks are the first-occurrence union of
-/// the lead's observer suite and every member's.
+/// fields), and the one attached sink serves the first-occurrence union
+/// of the lead's observer suite and every member's.
 ///
 /// Because the lead's suite comes first and each member suite is itself
 /// deduplicated in a deterministic order, every group config's solo
 /// suite is an in-order subset of the union rows — projecting a
 /// member's report out of the union is pure row selection. Because the
-/// union's sinks are grouped per granularity, each distinct address set
-/// projects once per granularity per *pass*, however many member suites
-/// requested it.
+/// sink projects per granularity, each access projects once per
+/// granularity per *pass*, however many member suites requested it.
 ///
 /// `offload` lets the pipeline replay on a helper thread while this one
 /// interprets (see [`sink::run_pipeline`]); the executor sets it only
@@ -104,13 +61,12 @@ pub(crate) fn run_union(
             }
         }
     }
-    let sinks = class_sinks(&union);
     let mut steps = AnalysisProfile::default();
-    let (rows, mut profile) = sink::run_pipeline(sinks, offload, |bus| {
+    let (rows, mut profile) = sink::run_pipeline(DagSink::new(&union), offload, |bus| {
         scheduler::drive(lead, program, init, bus, &mut steps)
     })?;
     profile.add(&steps);
-    Ok(LeakReport::new(reorder_rows(rows, &union), profile))
+    Ok(LeakReport::new(rows, profile))
 }
 
 #[cfg(test)]

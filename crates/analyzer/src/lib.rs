@@ -304,7 +304,7 @@ impl AnalysisConfig {
     }
 
     /// The *observation* half of the config fingerprint: the three
-    /// observer granularities. These determine which sinks watch the
+    /// observer granularities. These determine which lanes watch the
     /// event stream but never influence the stream itself, so two
     /// configs differing only here can share one scheduler pass (see
     /// [`Analysis::run_union`]).
@@ -327,7 +327,7 @@ impl AnalysisConfig {
 
     /// `true` when `other` would drive the scheduler identically: same
     /// fuel, budget, and configuration cap. Observer granularities are
-    /// deliberately ignored — they only pick sinks.
+    /// deliberately ignored — they only pick lanes.
     fn same_interpretation(&self, other: &AnalysisConfig) -> bool {
         self.fuel == other.fuel
             && self.budget == other.budget
@@ -458,9 +458,9 @@ impl Analysis {
     /// the returned report contains every member's suite as an in-order
     /// subset of its rows — each member's solo report can be projected
     /// out bit-identically without re-running anything. Within the
-    /// pass, every sink of one offset-bits class shares one projection
-    /// per event, so an access projects once per granularity in the
-    /// group rather than once per spec.
+    /// pass, every lane of one offset-bits granularity shares one
+    /// projection per event, so an access projects once per granularity
+    /// in the group rather than once per spec.
     ///
     /// # Panics
     ///

@@ -60,7 +60,7 @@ analysis_profile! {
     /// transfer functions, merge planning, event emission), less any
     /// time spent blocked on the replay helper.
     interpret_ns,
-    /// Trace replay: sinks consuming events (cursor updates, DAG
+    /// Trace replay: the sink consuming events (cursor updates, DAG
     /// maintenance, projections), on whichever thread ran it.
     replay_ns,
     /// Final counting: Proposition 2 big-number arithmetic and row
@@ -212,7 +212,10 @@ pub struct LeakReport {
 }
 
 impl LeakReport {
-    pub(crate) fn new(rows: Vec<LeakRow>, profile: AnalysisProfile) -> Self {
+    /// Assembles a report from rows and the profile of the pipeline run
+    /// that produced them. The sweep service uses it to hand a shared
+    /// pass's cost to the cell that led the pass.
+    pub fn new(rows: Vec<LeakRow>, profile: AnalysisProfile) -> Self {
         LeakReport { rows, profile }
     }
 

@@ -61,7 +61,7 @@ use leakaudit_x86::Reg;
 const DEADLINE_CHECK_MASK: u64 = 0x3ff;
 
 /// One live configuration: a program point plus the abstract machine
-/// state that reached it. Trace bookkeeping lives in the observer sinks,
+/// state that reached it. Trace bookkeeping lives in the observer sink,
 /// keyed by `id` — configurations no longer carry cursors.
 ///
 /// The worklist holds configurations boxed: every step pops one and
@@ -236,8 +236,8 @@ impl DecodeCache {
 /// `hlt`, publishing every trace-relevant action on `bus` and counting
 /// every abstract step into `profile` as one transfer-memo hit or miss.
 ///
-/// The initial configuration is [`ConfigId::ROOT`]; sinks seed their
-/// root cursor under the same id (see [`crate::sink::DagSink::for_class`]).
+/// The initial configuration is [`ConfigId::ROOT`]; the sink seeds its
+/// root cursors under the same id (see [`crate::sink::DagSink::new`]).
 pub(crate) fn drive(
     config: &AnalysisConfig,
     program: &Program,

@@ -8,34 +8,34 @@
 //! program counters and abstract machine states. Trace bookkeeping is a
 //! pure *consumer* of what the scheduler does. This module exploits that
 //! one-way data flow: the single abstract-interpretation pass emits a
-//! stream of [`TraceEvent`]s, and one [`DagSink`] per observer class
-//! replays the stream against its own [`TraceDag`]s. Sinks never
-//! communicate with each other, so the pipeline buffers the stream and
-//! hands each chunk to every sink in turn — one engine pass feeds the
-//! whole observer suite instead of interleaving 18 cursor updates into
-//! the scheduler loop.
+//! stream of [`TraceEvent`]s, and one [`DagSink`] for the whole observer
+//! suite replays the stream against one [`TraceDag`] per observer spec.
+//! The pipeline buffers the stream and hands the sink one chunk at a
+//! time — one engine pass feeds the whole suite instead of interleaving
+//! 18 cursor updates into the scheduler loop.
 //!
 //! The same one-way flow lets replay leave the interpreting thread. When
 //! the caller allows it (the executor does when another worker has no
-//! job), [`run_pipeline`] moves the sinks to one helper thread at the
+//! job), [`run_pipeline`] moves the sink to one helper thread at the
 //! first full chunk and ships it full chunks over a bounded channel, so
-//! interpretation and replay overlap. The sinks still see one stream in
+//! interpretation and replay overlap. The sink still sees one stream in
 //! emission order, so the rows do not change.
 //!
 //! # Mapping onto the paper
 //!
-//! Each sink implements the per-observer protocol of §6.4 verbatim:
-//! `Fork` duplicates a frontier cursor ([`TraceDag::clone_cursor`]),
-//! `Merge` applies the delayed ε-join ([`TraceDag::merge_cursors`]),
-//! `Access` is the update rule (projection at update time, once per
-//! event per offset-bits class, then one [`TraceDag::update`] per lane),
+//! Each lane of the sink implements the per-observer protocol of §6.4
+//! verbatim: `Fork` duplicates a frontier cursor
+//! ([`TraceDag::clone_cursor`]), `Merge` applies the delayed ε-join
+//! ([`TraceDag::merge_cursors`]), `Access` is the update rule
+//! (projection at update time, at most once per event per offset-bits
+//! granularity, then one [`TraceDag::update`] per lane that sees it),
 //! and `Retire` folds a halted path into the final frontier. The final
-//! count per sink is `cnt^π(v)` of Theorem 1 / Proposition 2, taken in
-//! one counting pass ([`TraceDag::count`]); because every sink sees
-//! the events of *every* abstract path in the order the scheduler
-//! produced them, the per-sink replay is observationally identical to
-//! the old engine that threaded one `Vec<Option<Cursor>>` through every
-//! configuration — bit-for-bit, as the batch-consistency suite checks.
+//! count per lane is `cnt^π(v)` of Theorem 1 / Proposition 2, taken in
+//! one counting pass ([`TraceDag::count`]); because every lane sees the
+//! events of *every* abstract path in the order the scheduler produced
+//! them, the replay is observationally identical to the old engine that
+//! threaded one `Vec<Option<Cursor>>` through every configuration —
+//! bit-for-bit, as the batch-consistency suite checks.
 
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::thread::{Scope, ScopedJoinHandle};
@@ -48,15 +48,15 @@ use crate::report::{AnalysisProfile, Channel, LeakRow, ObserverSpec};
 
 /// Identifier of one live configuration (abstract execution path).
 ///
-/// Allocated by the scheduler, monotonically increasing; sinks use it to
-/// key their cursor bookkeeping. Replaces the old scheme where every
+/// Allocated by the scheduler, monotonically increasing; the sink uses
+/// it to key its cursor bookkeeping. Replaces the old scheme where every
 /// configuration carried a positionally-indexed `Vec<Option<Cursor>>`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConfigId(pub(crate) u64);
 
 impl ConfigId {
     /// The initial configuration every run starts from. The scheduler
-    /// allocates ids upward from here; sinks seed their root cursor
+    /// allocates ids upward from here; the sink seeds its root cursors
     /// under this id.
     pub const ROOT: ConfigId = ConfigId(0);
 
@@ -119,8 +119,8 @@ pub enum TraceEvent {
         config: ConfigId,
         /// Fetch or data.
         kind: AccessKind,
-        /// The abstract address set, unprojected: each consuming class
-        /// sink projects it once at its own granularity.
+        /// The abstract address set, unprojected: the sink projects it
+        /// once per granularity that sees it.
         addresses: ValueSet,
     },
     /// The configuration reached `hlt`; its frontier joins the final
@@ -153,7 +153,7 @@ struct Lane {
 }
 
 impl Lane {
-    fn new(spec: ObserverSpec, initial: ConfigId) -> Self {
+    fn new(spec: ObserverSpec) -> Self {
         let (dag, cursor) = TraceDag::new(spec.observer);
         let mut lane = Lane {
             spec,
@@ -161,7 +161,7 @@ impl Lane {
             cursors: Vec::new(),
             finals: None,
         };
-        lane.put(initial, cursor);
+        lane.put(ConfigId::ROOT, cursor);
         lane
     }
 
@@ -232,54 +232,47 @@ impl Lane {
     }
 }
 
-/// The observer sink: the replay state of one offset-bits equivalence
-/// class of observers, one lane per member spec behind a shared
-/// per-event front end.
+/// The observer sink: the replay state of a whole observer suite, one
+/// lane per spec in suite order, grouped by offset bits.
 ///
-/// Every lane of a class projects addresses identically — projection
-/// depends only on the offset bits; neither the channel (which decides
-/// *visibility*, filtered per lane) nor stuttering (which changes how a
-/// lane's DAG consumes an observation, never the observation itself)
-/// enters it. So the class sink projects the address set **once per
-/// event**, then fans the borrowed [`ObsSet`] out to the lanes whose
-/// channel sees the access. Grouping by offset alone (rather than per
-/// (channel, offset) pair) matters on the hot path: a fetch is projected
-/// once per granularity, not once by each of the instruction-channel
-/// and shared-channel lanes. Lanes are *not* merged into one DAG:
-/// stuttering and exact observers build structurally different DAGs (a
-/// stutter keeps the cursor on a vertex an exact observer would have
-/// extended past), so sharing a DAG across them would change counts.
+/// Every lane of a granularity projects addresses identically —
+/// projection depends only on the offset bits; neither the channel
+/// (which decides *visibility*, filtered per lane) nor stuttering (which
+/// changes how a lane's DAG consumes an observation, never the
+/// observation itself) enters it. So an access is projected **at most
+/// once per granularity**, lazily, when the first lane of that
+/// granularity sees it, and the later lanes borrow the same
+/// [`ObsSet`]: a fetch is projected once per granularity, not once by
+/// each of the instruction-channel and shared-channel lanes, and a
+/// granularity no lane of which sees the access projects nothing.
+/// Lanes are *not* merged into one DAG: stuttering and exact observers
+/// build structurally different DAGs (a stutter keeps the cursor on a
+/// vertex an exact observer would have extended past), so sharing a
+/// DAG across them would change counts.
 pub struct DagSink {
+    /// One lane per spec, in suite order (the row order).
     lanes: Vec<Lane>,
-    /// Whether any lane sees (fetches, data accesses) — lets the front
-    /// end skip projection for invisible kinds.
-    sees: (bool, bool),
+    /// Indices into `lanes`, one list per offset-bits value in
+    /// first-occurrence order, each in suite order.
+    granularities: Vec<Vec<usize>>,
 }
 
 impl DagSink {
-    /// Creates one sink serving a whole offset-bits equivalence class,
-    /// one lane per spec in the given row order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `specs` is empty or the specs disagree on offset bits
-    /// (they would not project identically).
-    pub fn for_class(specs: &[ObserverSpec], initial: ConfigId) -> Self {
-        let first = specs.first().expect("class has at least one spec");
-        assert!(
-            specs
-                .iter()
-                .all(|s| s.observer.offset_bits() == first.observer.offset_bits()),
-            "class specs must share offset bits"
-        );
+    /// Creates the sink for `suite`: one lane per spec, each with its
+    /// root cursor under [`ConfigId::ROOT`]. Rows come out in `suite`
+    /// order.
+    pub fn new(suite: &[ObserverSpec]) -> Self {
+        let bits = |i: usize| suite[i].observer.offset_bits();
+        let mut granularities: Vec<Vec<usize>> = Vec::new();
+        for i in 0..suite.len() {
+            match granularities.iter_mut().find(|g| bits(g[0]) == bits(i)) {
+                Some(members) => members.push(i),
+                None => granularities.push(vec![i]),
+            }
+        }
         DagSink {
-            lanes: specs.iter().map(|&s| Lane::new(s, initial)).collect(),
-            sees: (
-                specs
-                    .iter()
-                    .any(|s| AccessKind::Fetch.visible_to(s.channel)),
-                specs.iter().any(|s| AccessKind::Data.visible_to(s.channel)),
-            ),
+            lanes: suite.iter().map(|&spec| Lane::new(spec)).collect(),
+            granularities,
         }
     }
 
@@ -301,22 +294,18 @@ impl DagSink {
                 kind,
                 addresses,
             } => {
-                // Projected once per class (paper §6.4: projection at
-                // update time); all lanes project identically, so lane
-                // 0's observer stands in for the class, and every lane
-                // borrows the one observation. Visibility is a per-lane
-                // channel filter.
-                let visible = match kind {
-                    AccessKind::Fetch => self.sees.0,
-                    AccessKind::Data => self.sees.1,
-                };
-                if !visible {
-                    return;
-                }
-                let obs = self.lanes[0].dag.observer().project_set(addresses);
-                for lane in &mut self.lanes {
-                    if kind.visible_to(lane.spec.channel) {
-                        lane.access(*config, &obs);
+                // Projection at update time (paper §6.4), once per
+                // granularity that sees the access; visibility is a
+                // per-lane channel filter.
+                for members in &self.granularities {
+                    let mut obs = None;
+                    for &i in members {
+                        let lane = &mut self.lanes[i];
+                        if kind.visible_to(lane.spec.channel) {
+                            let observer = lane.dag.observer();
+                            let obs = obs.get_or_insert_with(|| observer.project_set(addresses));
+                            lane.access(*config, obs);
+                        }
                     }
                 }
             }
@@ -329,7 +318,7 @@ impl DagSink {
     }
 
     /// Finishes the stream: counts traces and converts them to leakage
-    /// bounds, one row per lane in the class's spec order.
+    /// bounds, one row per lane in suite order.
     fn into_rows(self) -> Vec<LeakRow> {
         self.lanes.into_iter().map(Lane::into_row).collect()
     }
@@ -337,15 +326,15 @@ impl DagSink {
 
 /// Where the scheduler publishes its events.
 pub trait EventBus {
-    /// Emits one event to every sink.
+    /// Emits one event to the sink.
     fn emit(&mut self, event: TraceEvent);
 }
 
-/// Events buffered between flushes of the pipeline's bus. Looping every
-/// sink over one buffered batch keeps each sink's working set hot per
-/// chunk and needs only two clock reads per chunk to attribute replay
-/// time; the value changes no result. It is also the unit handed to the
-/// replay helper, so a stream shorter than one chunk never starts it.
+/// Events buffered between flushes of the pipeline's bus. Replaying a
+/// buffered batch needs only two clock reads per chunk to attribute
+/// replay time; the value changes no result. It is also the unit handed
+/// to the replay helper, so a stream shorter than one chunk never
+/// starts it.
 pub(crate) const CHUNK: usize = 256;
 
 /// Full chunks that may wait for the replay helper before the
@@ -355,29 +344,28 @@ pub(crate) const CHUNK: usize = 256;
 /// measured level end to end.
 const QUEUE: usize = 4;
 
-// The replay helper takes the sinks to another thread.
+// The replay helper takes the sink to another thread.
 const _: fn() = || {
     fn send<T: Send>() {}
     send::<DagSink>();
     send::<TraceEvent>();
 };
 
-/// Runs a set of sinks against the event stream produced by `drive`.
+/// Runs a sink against the event stream produced by `drive`.
 ///
-/// Events are buffered and applied to every sink in `CHUNK`-sized
+/// Events are buffered and applied to the sink in `CHUNK`-sized
 /// (256-event) batches. Without `offload` every batch replays on the
 /// calling thread. With `offload`, the first full batch starts one
-/// scoped helper thread that takes the sinks; from then on full batches
+/// scoped helper thread that takes the sink; from then on full batches
 /// travel to it over a bounded channel and emptied ones come back for
 /// reuse, so interpretation and replay overlap. A stream shorter than
-/// one batch starts no thread. Either way each sink sees every event in
+/// one batch starts no thread. Either way the sink sees every event in
 /// emission order, so the rows are bit-identical.
 ///
-/// Row order in the result is sink order, each sink's rows in its
-/// class's spec order. If `drive` errors, the helper is joined, the
-/// partial rows are discarded and the error is returned. A panic on the
-/// helper is re-raised on the calling thread once the helper is joined;
-/// no thread outlives the call.
+/// Rows come out in the sink's suite order. If `drive` errors, the
+/// helper is joined, the partial rows are discarded and the error is
+/// returned. A panic on the helper is re-raised on the calling thread
+/// once the helper is joined; no thread outlives the call.
 ///
 /// The returned [`AnalysisProfile`] has `runs == 1`, the three phase
 /// busy times — interpretation (scheduler fixpoint, less any time spent
@@ -386,13 +374,13 @@ const _: fn() = || {
 /// and `offloaded == 1` when the helper ran. Step counters are the
 /// caller's: `drive` sees only the bus.
 pub fn run_pipeline<E>(
-    sinks: Vec<DagSink>,
+    sink: DagSink,
     offload: bool,
     drive: impl FnOnce(&mut dyn EventBus) -> Result<(), E>,
 ) -> Result<(Vec<LeakRow>, AnalysisProfile), E> {
     std::thread::scope(|scope| {
         let mut bus = Bus {
-            sinks,
+            sink: Some(sink),
             buffer: Vec::with_capacity(CHUNK),
             replay: Duration::ZERO,
             blocked: Duration::ZERO,
@@ -409,12 +397,12 @@ pub fn run_pipeline<E>(
         bus.flush();
         let interpret = started.elapsed().saturating_sub(bus.replay + bus.blocked);
         let offloaded = u64::from(bus.helper.is_some());
-        let (sinks, replay) = match bus.helper.take() {
+        let (sink, replay) = match bus.helper.take() {
             Some(helper) => helper.join(),
-            None => (bus.sinks, bus.replay),
+            None => (bus.sink.expect("inline replay keeps the sink"), bus.replay),
         };
         let counting = Instant::now();
-        let rows: Vec<LeakRow> = sinks.into_iter().flat_map(DagSink::into_rows).collect();
+        let rows = sink.into_rows();
         let profile = AnalysisProfile {
             runs: 1,
             interpret_ns: interpret.as_nanos() as u64,
@@ -427,40 +415,33 @@ pub fn run_pipeline<E>(
     })
 }
 
-/// Applies one batch of events to every sink.
-fn replay_chunk(sinks: &mut [DagSink], events: &[TraceEvent]) {
-    for sink in sinks {
-        for event in events {
-            sink.absorb(event);
-        }
-    }
-}
-
 /// The replay helper of an offloaded [`run_pipeline`]: full batches go
 /// out on `full`, emptied ones come back on `empty`, and the thread
-/// hands the sinks and its replay time back when `full` closes.
+/// hands the sink and its replay time back when `full` closes.
 struct Helper<'scope> {
     full: SyncSender<Vec<TraceEvent>>,
     empty: Receiver<Vec<TraceEvent>>,
-    handle: ScopedJoinHandle<'scope, (Vec<DagSink>, Duration)>,
+    handle: ScopedJoinHandle<'scope, (DagSink, Duration)>,
 }
 
 impl<'scope> Helper<'scope> {
-    fn start<'env>(scope: &'scope Scope<'scope, 'env>, mut sinks: Vec<DagSink>) -> Self {
+    fn start<'env>(scope: &'scope Scope<'scope, 'env>, mut sink: DagSink) -> Self {
         let (full, inbox) = mpsc::sync_channel::<Vec<TraceEvent>>(QUEUE);
         let (outbox, empty) = mpsc::channel();
         let handle = scope.spawn(move || {
             let mut replay = Duration::ZERO;
             for mut events in inbox {
                 let started = Instant::now();
-                replay_chunk(&mut sinks, &events);
+                for event in &events {
+                    sink.absorb(event);
+                }
                 replay += started.elapsed();
                 events.clear();
                 // The interpreter stops taking buffers back once its
                 // stream has ended.
                 let _ = outbox.send(events);
             }
-            (sinks, replay)
+            (sink, replay)
         });
         Helper {
             full,
@@ -471,7 +452,7 @@ impl<'scope> Helper<'scope> {
 
     /// Closes the channel and waits for the helper, re-raising its
     /// panic on this thread.
-    fn join(self) -> (Vec<DagSink>, Duration) {
+    fn join(self) -> (DagSink, Duration) {
         drop(self.full);
         self.handle
             .join()
@@ -482,8 +463,8 @@ impl<'scope> Helper<'scope> {
 /// The pipeline's bus: buffers events and replays them in [`CHUNK`]-sized
 /// batches, inline or on the helper (see [`run_pipeline`]).
 struct Bus<'scope, 'env> {
-    /// The sinks while replay is inline; empty once the helper has them.
-    sinks: Vec<DagSink>,
+    /// The sink while replay is inline; `None` once the helper has it.
+    sink: Option<DagSink>,
     buffer: Vec<TraceEvent>,
     /// Inline replay time.
     replay: Duration,
@@ -510,7 +491,10 @@ impl Bus<'_, '_> {
 
     fn replay_inline(&mut self) {
         let started = Instant::now();
-        replay_chunk(&mut self.sinks, &self.buffer);
+        let sink = self.sink.as_mut().expect("inline replay keeps the sink");
+        for event in &self.buffer {
+            sink.absorb(event);
+        }
         self.replay += started.elapsed();
         self.buffer.clear();
     }
@@ -547,7 +531,8 @@ impl EventBus for Bus<'_, '_> {
         self.buffer.push(event);
         if self.buffer.len() >= CHUNK {
             if let Some(scope) = self.scope.take() {
-                self.helper = Some(Helper::start(scope, std::mem::take(&mut self.sinks)));
+                let sink = self.sink.take().expect("the sink starts inline");
+                self.helper = Some(Helper::start(scope, sink));
             }
             self.flush();
         }
@@ -598,12 +583,24 @@ mod tests {
         Ok(())
     }
 
-    /// Runs `sinks` over `drive`, keeping only the rows.
+    /// Runs a sink for `suite` over `drive` inline, keeping only the
+    /// rows.
     fn rows<E>(
-        sinks: Vec<DagSink>,
+        suite: &[ObserverSpec],
         drive: impl FnOnce(&mut dyn EventBus) -> Result<(), E>,
     ) -> Result<Vec<LeakRow>, E> {
-        run_pipeline(sinks, false, drive).map(|(rows, _)| rows)
+        run_pipeline(DagSink::new(suite), false, drive).map(|(rows, _)| rows)
+    }
+
+    /// Asserts two row lists are the same specs in the same order with
+    /// bit-identical counts and bounds.
+    fn assert_same_rows(a: &[LeakRow], b: &[LeakRow]) {
+        assert_eq!(a.len(), b.len());
+        for (a, b) in a.iter().zip(b) {
+            assert_eq!(a.spec, b.spec);
+            assert_eq!(a.count, b.count);
+            assert_eq!(a.bits.to_bits(), b.bits.to_bits());
+        }
     }
 
     #[test]
@@ -622,11 +619,7 @@ mod tests {
                 observer: Observer::address(),
             },
         ];
-        let sinks: Vec<DagSink> = specs
-            .iter()
-            .map(|spec| DagSink::for_class(std::slice::from_ref(spec), ConfigId(0)))
-            .collect();
-        let rows = rows(sinks, example9_events).unwrap();
+        let rows = rows(&specs, example9_events).unwrap();
         assert_eq!(rows[0].count.to_u64(), Some(2), "address observer");
         assert_eq!(rows[1].count.to_u64(), Some(1), "stuttering block");
         // The data channel saw no accesses: exactly one (empty) trace.
@@ -634,7 +627,7 @@ mod tests {
     }
 
     #[test]
-    fn class_sink_matches_solo_sinks_bit_for_bit() {
+    fn lanes_sharing_a_projection_match_solo_sinks_bit_for_bit() {
         let specs = [
             ObserverSpec {
                 channel: Channel::Instruction,
@@ -648,18 +641,13 @@ mod tests {
         let solo: Vec<LeakRow> = specs
             .iter()
             .map(|spec| {
-                let sinks = vec![DagSink::for_class(std::slice::from_ref(spec), ConfigId(0))];
-                rows(sinks, example9_events).unwrap().remove(0)
+                rows(std::slice::from_ref(spec), example9_events)
+                    .unwrap()
+                    .remove(0)
             })
             .collect();
-        let class = vec![DagSink::for_class(&specs, ConfigId(0))];
-        let grouped = rows(class, example9_events).unwrap();
-        assert_eq!(grouped.len(), specs.len(), "one row per lane");
-        for (s, g) in solo.iter().zip(&grouped) {
-            assert_eq!(s.spec, g.spec);
-            assert_eq!(s.count, g.count);
-            assert_eq!(s.bits.to_bits(), g.bits.to_bits());
-        }
+        let grouped = rows(&specs, example9_events).unwrap();
+        assert_same_rows(&solo, &grouped);
     }
 
     #[test]
@@ -668,8 +656,7 @@ mod tests {
             channel: Channel::Shared,
             observer: Observer::address(),
         };
-        let sinks = vec![DagSink::for_class(std::slice::from_ref(&spec), ConfigId(0))];
-        let rows = rows(sinks, |bus| -> Result<(), std::convert::Infallible> {
+        let rows = rows(&[spec], |bus| -> Result<(), std::convert::Infallible> {
             bus.emit(TraceEvent::Retire {
                 config: ConfigId(0),
             });
@@ -718,8 +705,10 @@ mod tests {
         Ok(())
     }
 
-    fn suite_sinks() -> Vec<DagSink> {
-        [Channel::Instruction, Channel::Data, Channel::Shared]
+    /// The sink for a nine-spec suite: three observers of two
+    /// granularities on every channel.
+    fn suite_sink() -> DagSink {
+        let suite: Vec<ObserverSpec> = [Channel::Instruction, Channel::Data, Channel::Shared]
             .into_iter()
             .flat_map(|channel| {
                 [
@@ -727,11 +716,38 @@ mod tests {
                     Observer::block(6),
                     Observer::block(6).stuttering(),
                 ]
-                .map(|observer| {
-                    DagSink::for_class(&[ObserverSpec { channel, observer }], ConfigId(0))
-                })
+                .map(|observer| ObserverSpec { channel, observer })
             })
-            .collect()
+            .collect();
+        DagSink::new(&suite)
+    }
+
+    #[test]
+    fn rows_come_out_in_suite_order_across_interleaved_granularities() {
+        let spec = |channel, observer| ObserverSpec { channel, observer };
+        let suite = [
+            spec(Channel::Instruction, Observer::address()),
+            spec(Channel::Data, Observer::block(6)),
+            spec(Channel::Shared, Observer::address()),
+            spec(Channel::Instruction, Observer::block(6).stuttering()),
+            spec(Channel::Data, Observer::page()),
+        ];
+        let solo: Vec<LeakRow> = suite
+            .iter()
+            .map(|spec| {
+                rows(std::slice::from_ref(spec), long_events)
+                    .unwrap()
+                    .remove(0)
+            })
+            .collect();
+        for offload in [false, true] {
+            let (rows, profile) = run_pipeline(DagSink::new(&suite), offload, long_events).unwrap();
+            assert_eq!(profile.offloaded, u64::from(offload));
+            let specs: Vec<ObserverSpec> = rows.iter().map(|r| r.spec).collect();
+            assert_eq!(specs, suite, "offload {offload}: rows in spec order");
+            assert_same_rows(&solo, &rows);
+        }
+        assert!(solo.iter().any(|r| r.bits > 0.0), "the stream leaks");
     }
 
     #[test]
@@ -743,19 +759,14 @@ mod tests {
             "{} events: several chunks",
             emitted.0
         );
-        let (inline, inline_profile) = run_pipeline(suite_sinks(), false, long_events).unwrap();
-        let (offloaded, profile) = run_pipeline(suite_sinks(), true, long_events).unwrap();
+        let (inline, inline_profile) = run_pipeline(suite_sink(), false, long_events).unwrap();
+        let (offloaded, profile) = run_pipeline(suite_sink(), true, long_events).unwrap();
         assert_eq!(
             (inline_profile.offloaded, profile.offloaded),
             (0, 1),
             "only the offloaded run starts the helper"
         );
-        assert_eq!(inline.len(), offloaded.len());
-        for (a, b) in inline.iter().zip(&offloaded) {
-            assert_eq!(a.spec, b.spec);
-            assert_eq!(a.count, b.count);
-            assert_eq!(a.bits.to_bits(), b.bits.to_bits());
-        }
+        assert_same_rows(&inline, &offloaded);
         assert!(
             inline.iter().any(|r| r.bits > 0.0),
             "the stream leaks somewhere"
@@ -764,7 +775,7 @@ mod tests {
 
     #[test]
     fn a_stream_shorter_than_a_chunk_starts_no_helper() {
-        let (rows, profile) = run_pipeline(suite_sinks(), true, example9_events).unwrap();
+        let (rows, profile) = run_pipeline(suite_sink(), true, example9_events).unwrap();
         assert_eq!(profile.offloaded, 0);
         assert_eq!(rows[0].count.to_u64(), Some(2), "address observer");
     }
@@ -792,7 +803,7 @@ mod tests {
     #[test]
     fn a_drive_panic_after_the_helper_started_is_raised_without_hanging() {
         let payload = std::panic::catch_unwind(|| {
-            run_pipeline(suite_sinks(), true, |bus| -> Result<(), ()> {
+            run_pipeline(suite_sink(), true, |bus| -> Result<(), ()> {
                 loads(bus, 0, 3 * CHUNK);
                 panic!("drive exploded")
             })
@@ -803,12 +814,12 @@ mod tests {
 
     #[test]
     fn a_helper_panic_is_raised_on_the_interpreting_thread() {
-        // An access by a configuration no sink has a cursor for panics
+        // An access by a configuration no lane has a cursor for panics
         // inside `DagSink::absorb`; offloaded, that runs on the helper,
-        // which has had the sinks since the first full chunk.
+        // which has had the sink since the first full chunk.
         let message = |offload| {
             let payload = std::panic::catch_unwind(|| {
-                run_pipeline(suite_sinks(), offload, |bus| -> Result<(), ()> {
+                run_pipeline(suite_sink(), offload, |bus| -> Result<(), ()> {
                     loads(bus, 0, 2 * CHUNK);
                     loads(bus, 9, 1);
                     loads(bus, 0, 8 * CHUNK);
@@ -826,7 +837,7 @@ mod tests {
     #[test]
     fn a_drive_error_after_the_helper_started_discards_rows() {
         for offload in [false, true] {
-            let err = run_pipeline(suite_sinks(), offload, |bus| {
+            let err = run_pipeline(suite_sink(), offload, |bus| {
                 loads(bus, 0, 3 * CHUNK);
                 Err("late boom")
             });
@@ -840,8 +851,7 @@ mod tests {
             channel: Channel::Shared,
             observer: Observer::address(),
         };
-        let sinks = vec![DagSink::for_class(std::slice::from_ref(&spec), ConfigId(0))];
-        let err = rows(sinks, |bus| {
+        let err = rows(&[spec], |bus| {
             bus.emit(TraceEvent::access(
                 ConfigId(0),
                 AccessKind::Data,

@@ -1,9 +1,10 @@
-//! Property tests pinning the production class-sink replay bit-identical
+//! Property tests pinning the production suite-sink replay bit-identical
 //! to a naive, one-spec-at-a-time replay of the same event stream.
 //!
-//! The production sinks ([`DagSink`]) share work across specs: one
-//! `project_set` per event per offset-bits class, borrowed by every lane
-//! of the class, over a chunked bus with a dense per-lane cursor table.
+//! The production sink ([`DagSink`]) shares work across specs: at most
+//! one `project_set` per event per offset-bits granularity, borrowed by
+//! every lane of that granularity that sees the access, over a chunked
+//! bus with a dense per-lane cursor table.
 //! None of that may change a single bit of the resulting counts. The
 //! reference implementation here replays the identical event stream
 //! straight through the public [`TraceDag`] API — one spec per DAG, its
@@ -26,8 +27,8 @@ use leakaudit_mpi::Natural;
 use proptest::prelude::*;
 
 /// The observer suite under test: exact and stuttering lanes at several
-/// granularities on every channel, so classes mix lane kinds and one
-/// projection is shared across channels of equal offset bits.
+/// granularities on every channel, so granularities mix lane kinds and
+/// one projection is shared across channels of equal offset bits.
 fn suite() -> Vec<ObserverSpec> {
     let spec = |channel, observer| ObserverSpec { channel, observer };
     vec![
@@ -255,27 +256,11 @@ impl Naive {
     }
 }
 
-/// Groups the suite into (channel, offset-bits) class sinks — the
-/// engine's production layout.
-fn class_sinks(suite: &[ObserverSpec]) -> Vec<DagSink> {
-    let mut classes: Vec<(Channel, u8, Vec<ObserverSpec>)> = Vec::new();
-    for spec in suite {
-        let key = (spec.channel, spec.observer.offset_bits());
-        match classes.iter_mut().find(|(c, b, _)| (*c, *b) == key) {
-            Some((_, _, members)) => members.push(*spec),
-            None => classes.push((key.0, key.1, vec![*spec])),
-        }
-    }
-    classes
-        .into_iter()
-        .map(|(_, _, members)| DagSink::for_class(&members, ConfigId::ROOT))
-        .collect()
-}
-
-/// Replays the events through `sinks` on the production pipeline, with
-/// replay offloaded or inline, and returns the rows in sink order.
-fn pipeline_rows(sinks: Vec<DagSink>, events: &[TraceEvent], offload: bool) -> Vec<LeakRow> {
-    let (rows, _) = run_pipeline(sinks, offload, |bus| {
+/// Replays the events through a sink for `suite` on the production
+/// pipeline, with replay offloaded or inline, and returns the rows in
+/// suite order.
+fn pipeline_rows(suite: &[ObserverSpec], events: &[TraceEvent], offload: bool) -> Vec<LeakRow> {
+    let (rows, _) = run_pipeline(DagSink::new(suite), offload, |bus| {
         for event in events {
             bus.emit(event.clone());
         }
@@ -285,14 +270,14 @@ fn pipeline_rows(sinks: Vec<DagSink>, events: &[TraceEvent], offload: bool) -> V
     rows
 }
 
-/// Replays the events through the memoized production class sinks.
+/// Replays the events through the memoized production suite sink.
 fn memoized_rows(events: &[TraceEvent], offload: bool) -> Vec<LeakRow> {
-    pipeline_rows(class_sinks(&suite()), events, offload)
+    pipeline_rows(&suite(), events, offload)
 }
 
 proptest! {
     /// The flagship property: over random event salads, every spec's
-    /// memoized class-sink count equals the naive replay bit for bit,
+    /// memoized suite-sink count equals the naive replay bit for bit,
     /// with replay inline or offloaded.
     #[test]
     fn memoized_class_replay_matches_naive_replay(
@@ -322,29 +307,25 @@ proptest! {
         }
     }
 
-    /// Solo sinks (one spec each, no class sharing, no shared
-    /// projection) agree with the class layout — the two
-    /// production configurations may never diverge from each other.
+    /// Solo sinks (one spec each, no shared projection) agree with the
+    /// suite sink — the two production configurations may never
+    /// diverge from each other.
     #[test]
-    fn solo_sinks_match_class_sinks(
+    fn solo_sinks_match_the_suite_sink(
         ops in proptest::collection::vec(raw_op(), 0..80),
         lead in 0usize..700,
         offload in any::<bool>(),
     ) {
         let events = events_after(lead, &ops);
-        let class_rows = memoized_rows(&events, offload);
-        let solo_sinks = suite()
-            .into_iter()
-            .map(|spec| DagSink::for_class(std::slice::from_ref(&spec), ConfigId::ROOT))
-            .collect();
-        let solo_rows = pipeline_rows(solo_sinks, &events, !offload);
-        for solo in &solo_rows {
-            let class = class_rows
+        let suite_rows = memoized_rows(&events, offload);
+        for spec in suite() {
+            let solo = pipeline_rows(&[spec], &events, !offload).remove(0);
+            let row = suite_rows
                 .iter()
                 .find(|r| r.spec == solo.spec)
                 .expect("one row per suite spec");
-            prop_assert_eq!(&class.count, &solo.count);
-            prop_assert_eq!(class.bits.to_bits(), solo.bits.to_bits());
+            prop_assert_eq!(&row.count, &solo.count);
+            prop_assert_eq!(row.bits.to_bits(), solo.bits.to_bits());
         }
     }
 }

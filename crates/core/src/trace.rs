@@ -220,96 +220,9 @@ struct Vertex {
     /// Number of live cursors whose frontier includes this vertex.
     cursor_refs: u32,
     /// Dissolved into a sibling by the §6.4 join rule: no edge or cursor
-    /// refers to it again. It stays in the arena — at most one per
-    /// sibling merge — and the counting pass skips it.
+    /// refers to it again. It stays in the vertex table — at most one
+    /// per sibling merge — and the counting pass skips it.
     dead: bool,
-}
-
-/// Log2 of the vertex-arena chunk size.
-const ARENA_SHIFT: u32 = 10;
-/// Vertices per arena chunk (power of two: indexing is shift + mask).
-const ARENA_CHUNK: usize = 1 << ARENA_SHIFT;
-
-/// Append-only chunked vertex table.
-///
-/// A flat `Vec<Vertex>` spends a measurable slice of heavy-scenario
-/// replay inside `realloc`: tens of thousands of ~100-byte vertices per
-/// lane get memcpy'd again at every capacity doubling. Fixed-size
-/// chunks never move a vertex once written — push is amortized O(1)
-/// with no relocation and indexing is a shift and a mask. Only the
-/// first chunk grows by doubling (up to the chunk size), so tiny DAGs
-/// allocate nothing beyond what a `Vec` would.
-///
-/// Invariant: every chunk except the last holds exactly
-/// [`ARENA_CHUNK`] vertices, so index `i` lives in chunk
-/// `i >> ARENA_SHIFT` at slot `i & (ARENA_CHUNK - 1)`.
-#[derive(Debug)]
-struct VertexArena {
-    chunks: Vec<Vec<Vertex>>,
-    len: usize,
-}
-
-impl VertexArena {
-    fn new(root: Vertex) -> Self {
-        VertexArena {
-            chunks: vec![vec![root]],
-            len: 1,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    #[inline]
-    fn push(&mut self, v: Vertex) {
-        let last = self
-            .chunks
-            .last_mut()
-            .expect("arena has at least one chunk");
-        if last.len() < last.capacity() {
-            last.push(v);
-        } else {
-            self.push_grow(v);
-        }
-        self.len += 1;
-    }
-
-    /// Out-of-line growth: double the first chunk (up to the chunk
-    /// size), then open a fresh full-size chunk.
-    #[cold]
-    fn push_grow(&mut self, v: Vertex) {
-        let last = self
-            .chunks
-            .last_mut()
-            .expect("arena has at least one chunk");
-        if last.len() < ARENA_CHUNK {
-            last.push(v);
-        } else {
-            let mut chunk = Vec::with_capacity(ARENA_CHUNK);
-            chunk.push(v);
-            self.chunks.push(chunk);
-        }
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &Vertex> {
-        self.chunks.iter().flatten()
-    }
-}
-
-impl std::ops::Index<usize> for VertexArena {
-    type Output = Vertex;
-    #[inline]
-    fn index(&self, i: usize) -> &Vertex {
-        &self.chunks[i >> ARENA_SHIFT][i & (ARENA_CHUNK - 1)]
-    }
-}
-
-impl std::ops::IndexMut<usize> for VertexArena {
-    #[inline]
-    fn index_mut(&mut self, i: usize) -> &mut Vertex {
-        &mut self.chunks[i >> ARENA_SHIFT][i & (ARENA_CHUNK - 1)]
-    }
 }
 
 /// The frontier of one abstract execution path in a [`TraceDag`].
@@ -348,8 +261,10 @@ impl Cursor {
 pub struct TraceDag {
     observer: Observer,
     /// Vertex ids are topological: predecessors precede children, and
-    /// the ε root is vertex 0.
-    vertices: VertexArena,
+    /// the ε root is vertex 0. Tail collapse keeps DAGs small (about a
+    /// thousand vertices at most over the scenario registries), so a
+    /// plain vector holds them.
+    vertices: Vec<Vertex>,
 }
 
 impl TraceDag {
@@ -365,7 +280,7 @@ impl TraceDag {
         };
         let dag = TraceDag {
             observer,
-            vertices: VertexArena::new(root),
+            vertices: vec![root],
         };
         let cursor = Cursor {
             verts: vec![VertexId(0)],
@@ -424,8 +339,8 @@ impl TraceDag {
     /// Records one access with an already-projected observation set
     /// (paper §6.4 update), moving the cursor where it lives.
     ///
-    /// The observation set is borrowed: the analyzer's class sinks project
-    /// an access once and hand the same set to every lane, and the
+    /// The observation set is borrowed: the analyzer's sink projects an
+    /// access once per granularity and hands the same set to every lane, and the
     /// stuttering/repetition fast paths never need an owned copy. The
     /// cursor is borrowed too, so a caller that keeps cursors in a table
     /// advances one in its slot.
@@ -677,8 +592,8 @@ impl TraceDag {
     /// (predecessors precede children). Per-vertex counts are accumulated
     /// in `u128` machine words and only spill into big-number arithmetic
     /// once a product overflows: the zero-leak case studies (counts
-    /// staying 1 across tens of thousands of vertices) never allocate a
-    /// single limb vector. A predecessor read by exactly one child and
+    /// staying 1 across a whole DAG) never allocate a single limb
+    /// vector. A predecessor read by exactly one child and
     /// held by no cursor hands its count over instead of copying it (see
     /// `pred_count`), so a chain of big counts is not cloned vertex by
     /// vertex. A handed-over slot is left empty, so a slip in the

@@ -1,5 +1,5 @@
-//! The content-addressed result cache: a sharded, optionally bounded
-//! in-memory store plus a fan-out on-disk JSON store.
+//! The content-addressed result cache: an optionally bounded in-memory
+//! store plus a fan-out on-disk JSON store.
 //!
 //! Reports are immutable once computed (the analyzer is deterministic),
 //! so cache entries are `Arc`-shared: a hit hands out the same report
@@ -9,22 +9,19 @@
 //! wire spelling (counts as hex big-numbers, bits as shortest-round-trip
 //! numbers) under a checksum over the whole entry.
 //!
-//! # Sharding and eviction
+//! # Locking and eviction
 //!
-//! A daemon serving many clients cannot live with PR 3's single mutex
-//! and unbounded map: every lookup serialized on one lock, and memory
-//! grew without bound. [`MemoryCache`] now hashes keys across N
-//! mutex-guarded shards (contention drops N-fold; the key's fingerprint
-//! bits pick the shard, no re-hashing) and optionally enforces a byte
-//! budget per shard, evicting the least-recently-used entries.
-//! [`DiskCache`] fans entries out into `ab/cd/<key>.json`
-//! subdirectories — flat directories stop scaling past a few thousand
-//! files.
+//! [`MemoryCache`] is one map behind one mutex. Every lookup and store
+//! runs on a request thread (planning a sweep, collecting its results),
+//! never on an executor worker, so the lock is not contended by the
+//! analysis itself. The store optionally enforces one byte budget over
+//! all entries, evicting the least-recently-used first. [`DiskCache`]
+//! fans entries out into `ab/cd/<key>.json` subdirectories — flat
+//! directories stop scaling past a few thousand files.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use leakaudit_analyzer::{Channel, LeakReport, LeakRow, ObserverSpec};
@@ -71,88 +68,63 @@ struct Entry {
     /// Approximate retained bytes ([`report_weight`]).
     weight: u64,
     /// Logical timestamp of the last hit or the insertion, whichever is
-    /// later; monotonic across the whole cache. The smallest is evicted.
+    /// later. The smallest is evicted.
     last_touch: u64,
 }
 
 #[derive(Default)]
-struct Shard {
+struct Store {
     map: HashMap<CacheKey, Entry>,
     bytes: u64,
+    /// Logical clock of the LRU order, ticked by every lookup and store.
+    clock: u64,
+    stats: CacheStats,
 }
 
-/// The in-memory store: key-sharded maps of shared reports with an
-/// optional byte budget enforced by least-recently-used eviction.
+/// The in-memory store: one map of shared reports with an optional byte
+/// budget enforced by least-recently-used eviction.
 ///
-/// [`MemoryCache::new`] is unbounded (the PR-3 behavior); bound it with
-/// [`MemoryCache::with_capacity_bytes`]. The budget splits evenly
-/// across shards, so a pathological shard cannot starve the others.
+/// [`MemoryCache::new`] is unbounded; bound it with
+/// [`MemoryCache::with_capacity_bytes`].
+#[derive(Default)]
 pub struct MemoryCache {
-    shards: Vec<Mutex<Shard>>,
+    store: Mutex<Store>,
     capacity: Option<u64>,
-    clock: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
 }
 
 impl fmt::Debug for MemoryCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MemoryCache")
-            .field("shards", &self.shards.len())
             .field("capacity", &self.capacity)
             .field("stats", &self.stats())
             .finish()
     }
 }
 
-impl Default for MemoryCache {
-    fn default() -> Self {
-        MemoryCache::new()
-    }
-}
-
-/// Default shard count: enough to make lock contention negligible for a
-/// worker pool of typical size, small enough to stay cheap to sum over.
-const DEFAULT_SHARDS: usize = 8;
-
 impl MemoryCache {
-    /// An empty, unbounded cache with the default shard count.
+    /// An empty, unbounded cache.
     pub fn new() -> Self {
-        MemoryCache::with_shards(DEFAULT_SHARDS)
-    }
-
-    /// An empty, unbounded cache sharded `shards` ways (rounded up to a
-    /// power of two, minimum 1).
-    pub fn with_shards(shards: usize) -> Self {
-        let shards = shards.max(1).next_power_of_two();
-        MemoryCache {
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            capacity: None,
-            clock: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
+        MemoryCache::default()
     }
 
     /// Bounds the cache at roughly `bytes` retained report bytes
     /// (estimated via [`report_weight`]); inserting past the budget
-    /// evicts the least-recently-used entries of the shard. An entry
-    /// larger than a whole shard's budget is evicted immediately after
-    /// insertion — the cache stays bounded, the caller just recomputes.
+    /// evicts the least-recently-used entries. An entry larger than the
+    /// whole budget is evicted immediately after insertion — the cache
+    /// stays bounded, the caller just recomputes.
     #[must_use]
     pub fn with_capacity_bytes(mut self, bytes: u64) -> Self {
         self.capacity = Some(bytes);
         self
     }
 
+    fn store(&self) -> std::sync::MutexGuard<'_, Store> {
+        self.store.lock().expect("cache poisoned")
+    }
+
     /// Number of stored entries.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache poisoned").map.len())
-            .sum()
+        self.store().map.len()
     }
 
     /// `true` when nothing is cached.
@@ -160,81 +132,60 @@ impl MemoryCache {
         self.len() == 0
     }
 
-    /// Approximate retained bytes across all shards.
+    /// Approximate retained bytes.
     pub fn bytes(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache poisoned").bytes)
-            .sum()
+        self.store().bytes
     }
 
     /// Lookup/eviction counters since construction.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
-    }
-
-    fn shard(&self, key: &CacheKey) -> &Mutex<Shard> {
-        let mask = self.shards.len() - 1;
-        &self.shards[(key.low_bits() as usize) & mask]
-    }
-
-    fn shard_budget(&self) -> Option<u64> {
-        self.capacity.map(|c| c / self.shards.len() as u64)
-    }
-
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed)
+        self.store().stats
     }
 
     /// Looks a report up, counting the hit or miss.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<LeakReport>> {
-        let now = self.tick();
-        let mut shard = self.shard(key).lock().expect("cache poisoned");
-        let found = shard.map.get_mut(key).map(|entry| {
+        let mut store = self.store();
+        store.clock += 1;
+        let now = store.clock;
+        let found = store.map.get_mut(key).map(|entry| {
             entry.last_touch = now;
             Arc::clone(&entry.report)
         });
-        drop(shard);
         match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
+            Some(_) => store.stats.hits += 1,
+            None => store.stats.misses += 1,
+        }
         found
     }
 
     /// Stores a report (last write wins; identical content either way),
-    /// evicting least-recently-used entries past the shard's budget.
+    /// evicting least-recently-used entries past the budget.
     pub fn put(&self, key: CacheKey, report: Arc<LeakReport>) {
-        let now = self.tick();
         let weight = report_weight(&report);
-        let mut shard = self.shard(&key).lock().expect("cache poisoned");
-        if let Some(old) = shard.map.insert(
-            key,
-            Entry {
-                report,
-                weight,
-                last_touch: now,
-            },
-        ) {
-            shard.bytes -= old.weight;
+        let mut store = self.store();
+        store.clock += 1;
+        let entry = Entry {
+            report,
+            weight,
+            last_touch: store.clock,
+        };
+        if let Some(old) = store.map.insert(key, entry) {
+            store.bytes -= old.weight;
         }
-        shard.bytes += weight;
-        if let Some(budget) = self.shard_budget() {
-            while shard.bytes > budget && !shard.map.is_empty() {
-                let victim = *shard
-                    .map
-                    .iter()
-                    .min_by_key(|(_, e)| e.last_touch)
-                    .expect("non-empty shard yields a victim")
-                    .0;
-                let evicted = shard.map.remove(&victim).expect("victim exists");
-                shard.bytes -= evicted.weight;
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
+        store.bytes += weight;
+        let Some(budget) = self.capacity else {
+            return;
+        };
+        while store.bytes > budget && !store.map.is_empty() {
+            let victim = *store
+                .map
+                .iter()
+                .min_by_key(|(_, e)| e.last_touch)
+                .expect("a non-empty store yields a victim")
+                .0;
+            let evicted = store.map.remove(&victim).expect("victim exists");
+            store.bytes -= evicted.weight;
+            store.stats.evictions += 1;
         }
     }
 }
@@ -336,7 +287,7 @@ impl DiskCache {
     }
 }
 
-/// `true` for the two-hex-digit directories of the sharded layout.
+/// `true` for the two-hex-digit directories of the fan-out layout.
 fn is_shard_dir(path: &Path) -> bool {
     path.is_dir()
         && path
@@ -563,30 +514,11 @@ mod tests {
     }
 
     #[test]
-    fn entries_spread_across_shards() {
-        let cache = MemoryCache::with_shards(4);
-        let report = Arc::new(sample_report());
-        for n in 0..32 {
-            cache.put(key_n(n), Arc::clone(&report));
-        }
-        assert_eq!(cache.len(), 32);
-        let populated = cache
-            .shards
-            .iter()
-            .filter(|s| !s.lock().unwrap().map.is_empty())
-            .count();
-        assert!(populated > 1, "sequential keys must not pile on one shard");
-        for n in 0..32 {
-            assert!(cache.get(&key_n(n)).is_some());
-        }
-    }
-
-    #[test]
     fn capacity_bound_evicts_lru_first() {
         let report = Arc::new(sample_report());
         let weight = report_weight(&report);
-        // One shard, room for ~3 entries.
-        let cache = MemoryCache::with_shards(1).with_capacity_bytes(3 * weight);
+        // Room for ~3 entries.
+        let cache = MemoryCache::new().with_capacity_bytes(3 * weight);
         for n in 0..3 {
             cache.put(key_n(n), Arc::clone(&report));
         }
@@ -607,7 +539,7 @@ mod tests {
     #[test]
     fn reinserting_a_key_does_not_double_count_bytes() {
         let report = Arc::new(sample_report());
-        let cache = MemoryCache::with_shards(1);
+        let cache = MemoryCache::new();
         cache.put(key_n(7), Arc::clone(&report));
         let once = cache.bytes();
         cache.put(key_n(7), Arc::clone(&report));

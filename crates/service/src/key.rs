@@ -122,12 +122,6 @@ impl CacheKey {
         self.0.to_hex()
     }
 
-    /// The low 64 bits of the fingerprint — lets sharded stores pick a
-    /// shard without re-hashing (the bits are uniformly mixed).
-    pub fn low_bits(self) -> u64 {
-        self.0 .0 as u64
-    }
-
     /// Parses [`CacheKey::to_hex`] back.
     pub fn from_hex(s: &str) -> Option<Self> {
         Fingerprint::from_hex(s).map(CacheKey)

@@ -11,7 +11,7 @@
 //! * [`CacheKey`] — the content identity of one analysis request:
 //!   program bytes × initial state × analyzer config, hashed with a
 //!   stable (cross-process, cross-platform) 128-bit encoding;
-//! * [`MemoryCache`] / [`DiskCache`] — key-sharded `Arc`-shared
+//! * [`MemoryCache`] / [`DiskCache`] — one-lock `Arc`-shared
 //!   in-memory entries with an optional byte budget (least recently
 //!   used evicted first), plus a fan-out directory of JSON entries
 //!   surviving the process;

@@ -802,8 +802,9 @@ impl SweepEngine {
     /// grouped outcome carries the union suite, and each member's solo
     /// suite is projected out by row selection — nothing is recomputed,
     /// so grouped rows are byte-for-byte what a solo run yields. The
-    /// lead is `Computed` with the pass's wall time; other members are
-    /// [`Provenance::SharedPass`] at zero elapsed. Errors (including
+    /// lead is `Computed` with the pass's wall time and profile; other
+    /// members are [`Provenance::SharedPass`] at zero elapsed with an
+    /// all-zero profile. Errors (including
     /// cancellations) apply to every member and, like solo errors, are
     /// never cached.
     fn demux_outcome(
@@ -835,7 +836,12 @@ impl SweepEngine {
                                     .clone()
                             })
                             .collect();
-                        Arc::new(LeakReport::from_rows(rows))
+                        let profile = if pos == 0 {
+                            union.profile()
+                        } else {
+                            AnalysisProfile::default()
+                        };
+                        Arc::new(LeakReport::new(rows, profile))
                     };
                     let key = metas[m].0;
                     self.memory.put(key, Arc::clone(&report));

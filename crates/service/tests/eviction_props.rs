@@ -1,4 +1,4 @@
-//! Property tests for the bounded, sharded, evicting result cache and
+//! Property tests for the bounded, evicting result cache and
 //! its disk entry codec.
 //!
 //! The cache is content-addressed: key `k` always maps to the same
@@ -188,10 +188,8 @@ proptest! {
     fn bounded_cache_never_serves_stale_or_cross_key_values(
         ops in proptest::collection::vec(op_strategy(), 0..120),
         capacity_units in 1u64..6,
-        shards in 1usize..5,
     ) {
-        let cache = MemoryCache::with_shards(shards)
-            .with_capacity_bytes(capacity_units * weight_unit());
+        let cache = MemoryCache::new().with_capacity_bytes(capacity_units * weight_unit());
         let mut inserted: HashMap<u64, bool> = HashMap::new();
         let (mut gets, mut hits) = (0u64, 0u64);
         for op in &ops {
@@ -224,7 +222,7 @@ proptest! {
             proptest::collection::vec(op_strategy(), 1..40), 4),
         capacity_units in 1u64..4,
     ) {
-        let cache = MemoryCache::with_shards(2).with_capacity_bytes(capacity_units * weight_unit());
+        let cache = MemoryCache::new().with_capacity_bytes(capacity_units * weight_unit());
         std::thread::scope(|scope| {
             for ops in &per_thread {
                 let cache = &cache;

@@ -8,7 +8,9 @@
 //!   reports' profiles;
 //! * a report that ran no pipeline — decoded from the result cache, or
 //!   a shared-pass view of another cell's pass — carries an all-zero
-//!   profile, and a sweep's executor counts one run per computed cell.
+//!   profile, while every computed cell of a sweep, a shared pass's lead
+//!   among them, carries its pass's profile (one run), and those
+//!   profiles sum to the sweep's executor profile.
 
 use std::sync::Arc;
 
@@ -93,6 +95,7 @@ fn reports_that_ran_no_pipeline_carry_a_zero_profile() {
     let engine = SweepEngine::new();
     let report = engine.run(&registry);
     let mut shared = 0;
+    let mut computed = AnalysisProfile::default();
     for cell in report.cells() {
         let leak = cell
             .result
@@ -101,16 +104,29 @@ fn reports_that_ran_no_pipeline_carry_a_zero_profile() {
         let decoded = decode_report(&encode_report(leak)).expect("round trip");
         assert_eq!(decoded.rows(), leak.rows());
         assert_eq!(decoded.profile(), AnalysisProfile::default());
-        if let Provenance::SharedPass { .. } = cell.provenance {
-            shared += 1;
-            assert_eq!(
-                leak.profile(),
-                AnalysisProfile::default(),
-                "{}: a shared-pass view ran no pipeline",
-                cell.spec.id()
-            );
+        match cell.provenance {
+            Provenance::SharedPass { .. } => {
+                shared += 1;
+                assert_eq!(
+                    leak.profile(),
+                    AnalysisProfile::default(),
+                    "{}: a shared-pass view ran no pipeline",
+                    cell.spec.id()
+                );
+            }
+            Provenance::Computed => {
+                assert_eq!(
+                    leak.profile().runs,
+                    1,
+                    "{}: a computed cell carries its pass",
+                    cell.spec.id()
+                );
+                computed.add(&leak.profile());
+            }
+            _ => {}
         }
     }
     assert!(shared > 0, "the default sweep shares scheduler passes");
     assert_eq!(engine.profile().runs, report.computed() as u64);
+    assert_eq!(engine.profile(), computed, "executor = Σ computed cells");
 }
