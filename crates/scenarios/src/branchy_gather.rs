@@ -16,7 +16,7 @@ use leakaudit_analyzer::InitState;
 use leakaudit_core::ValueSet;
 use leakaudit_x86::{Asm, Mem, Reg};
 
-use crate::{ConcreteCase, Expected, Scenario};
+use crate::{Cases, ConcreteCase, Expected, Scenario};
 
 /// Image address of the guard word the loop reloads every trip. A page
 /// past the code so the data block stays distinct from every fetch
@@ -98,22 +98,25 @@ pub fn variant(entries: u32, rounds: u32, block_bits: u8) -> Scenario {
         ValueSet::from_constants(0..u64::from(entries), 32),
     );
 
-    let mut cases = Vec::new();
-    for (layout, p_base) in [0x080e_d000u32, 0x0930_0080].into_iter().enumerate() {
-        let mut bytes = Vec::new();
-        for j in 0..(4 * rounds) {
-            bytes.push((p_base + j, table_byte(j)));
+    let cases = Cases::new(move || {
+        let mut cases = Vec::new();
+        for (layout, p_base) in [0x080e_d000u32, 0x0930_0080].into_iter().enumerate() {
+            let mut bytes = Vec::new();
+            for j in 0..(4 * rounds) {
+                bytes.push((p_base + j, table_byte(j)));
+            }
+            for k in 0..entries {
+                cases.push(ConcreteCase {
+                    label: format!("k={k}, layout {layout}"),
+                    layout,
+                    regs: vec![(Reg::Ebx, p_base), (Reg::Ecx, k)],
+                    bytes: bytes.clone(),
+                    expect_mem: Vec::new(),
+                });
+            }
         }
-        for k in 0..entries {
-            cases.push(ConcreteCase {
-                label: format!("k={k}, layout {layout}"),
-                layout,
-                regs: vec![(Reg::Ebx, p_base), (Reg::Ecx, k)],
-                bytes: bytes.clone(),
-                expect_mem: Vec::new(),
-            });
-        }
-    }
+        cases
+    });
 
     Scenario {
         name: format!("branchy-gather[e={entries},r={rounds},b={block_bits}]"),

@@ -12,7 +12,7 @@ use leakaudit_core::ValueSet;
 use leakaudit_x86::{Asm, Cond, Mem, Reg, Reg8};
 
 use crate::scatter_gather::{value_byte, SPACING, VALUE_BYTES};
-use crate::{ConcreteCase, Expected, Scenario};
+use crate::{Cases, ConcreteCase, Expected, Scenario};
 
 /// `defensive_gather(r, buf, k)` from paper Fig. 12:
 ///
@@ -79,30 +79,33 @@ pub fn variant(spacing: u32, value_bytes: u32, block_bits: u8) -> Scenario {
         ValueSet::from_constants(0..u64::from(spacing), 32),
     );
 
-    let mut cases = Vec::new();
-    for (layout, (buf_raw, r_base)) in
-        [(0x080e_b0c4u32, 0x080e_a000u32), (0x0910_0011, 0x0920_0100)]
-            .into_iter()
-            .enumerate()
-    {
-        let aligned = buf_raw - (buf_raw & 63) + 64;
-        for k in 0..spacing {
-            let mut bytes = Vec::new();
-            for kk in 0..spacing {
-                for i in 0..value_bytes {
-                    bytes.push((aligned + kk + i * spacing, value_byte(kk, i)));
+    let cases = Cases::new(move || {
+        let mut cases = Vec::new();
+        for (layout, (buf_raw, r_base)) in
+            [(0x080e_b0c4u32, 0x080e_a000u32), (0x0910_0011, 0x0920_0100)]
+                .into_iter()
+                .enumerate()
+        {
+            let aligned = buf_raw - (buf_raw & 63) + 64;
+            for k in 0..spacing {
+                let mut bytes = Vec::new();
+                for kk in 0..spacing {
+                    for i in 0..value_bytes {
+                        bytes.push((aligned + kk + i * spacing, value_byte(kk, i)));
+                    }
                 }
+                let expected: Vec<u8> = (0..value_bytes).map(|i| value_byte(k, i)).collect();
+                cases.push(ConcreteCase {
+                    label: format!("k={k}, layout {layout}"),
+                    layout,
+                    regs: vec![(Reg::Eax, buf_raw), (Reg::Ecx, k), (Reg::Edi, r_base)],
+                    bytes,
+                    expect_mem: vec![(r_base, expected)],
+                });
             }
-            let expected: Vec<u8> = (0..value_bytes).map(|i| value_byte(k, i)).collect();
-            cases.push(ConcreteCase {
-                label: format!("k={k}, layout {layout}"),
-                layout,
-                regs: vec![(Reg::Eax, buf_raw), (Reg::Ecx, k), (Reg::Edi, r_base)],
-                bytes,
-                expect_mem: vec![(r_base, expected)],
-            });
         }
-    }
+        cases
+    });
 
     Scenario {
         name: format!("defensive-gather[s={spacing},n={value_bytes},b={block_bits}]"),

@@ -17,7 +17,8 @@
 //! * **concrete cases** — full register/memory initializations for every
 //!   secret value under several heap layouts, so the emulator can validate
 //!   the static bounds empirically (Theorem 1) and check functional
-//!   correctness of each countermeasure.
+//!   correctness of each countermeasure. They are generated on first
+//!   read ([`Cases`]): the static analysis never reads them.
 //!
 //! ```
 //! use leakaudit_core::Observer;
@@ -46,7 +47,8 @@ pub mod square_multiply;
 pub use registry::{Family, FamilyParams, Opt, ParseSpecError, Registry, ScenarioSpec};
 
 use std::fmt;
-use std::sync::Arc;
+use std::ops::Deref;
+use std::sync::{Arc, LazyLock};
 
 use leakaudit_analyzer::{
     Analysis, AnalysisConfig, AnalysisError, AnalysisInput, AnalysisTarget, BatchReport, Executor,
@@ -145,6 +147,11 @@ impl Expected {
 
 /// A fully concrete initialization of one emulator run: one secret value
 /// under one heap layout.
+///
+/// Cases exist for the Theorem 1 checks (the emulator validating a
+/// static bound) and for functional correctness of a countermeasure;
+/// they live in a scenario's [`Cases`] list, which generates them on
+/// first read.
 #[derive(Debug, Clone)]
 pub struct ConcreteCase {
     /// Human-readable description (e.g. `"k=3, layout B"`).
@@ -159,6 +166,62 @@ pub struct ConcreteCase {
     /// Post-condition: memory ranges that must equal the given bytes after
     /// the run (functional correctness of the countermeasure).
     pub expect_mem: Vec<(u32, Vec<u8>)>,
+}
+
+/// The concrete validation cases of one scenario, generated on first
+/// read and shared by clones.
+///
+/// A case list can hold over a million `(address, byte)` pairs (a
+/// scatter-gather cell fills every interleaved value for every secret
+/// and layout), and the static analysis never reads it: only the
+/// emulator-side checks do (Theorem 1, functional post-conditions, the
+/// service crate's opt-in cycle estimates). So a builder hands its case
+/// loop over as a closure, and the first read through [`Deref`] or
+/// `&Cases` runs it once; every clone of the scenario shares the
+/// result. `Debug` prints the cases only once they exist.
+///
+/// ```
+/// use leakaudit_scenarios::scatter_gather;
+///
+/// let scenario = scatter_gather::openssl_102f();
+/// scenario.analyze().unwrap();
+/// assert!(!scenario.cases.is_generated(), "analysis reads no case");
+/// assert_eq!(scenario.cases.len(), 16); // 8 secrets x 2 layouts
+/// assert!(scenario.cases.is_generated());
+/// ```
+#[derive(Clone, Debug)]
+pub struct Cases(Arc<LazyLock<Vec<ConcreteCase>, CaseLoop>>);
+
+type CaseLoop = Box<dyn FnOnce() -> Vec<ConcreteCase> + Send>;
+
+impl Cases {
+    /// A list whose cases `generate` produces on first read.
+    pub fn new(generate: impl FnOnce() -> Vec<ConcreteCase> + Send + 'static) -> Self {
+        Cases(Arc::new(LazyLock::new(Box::new(generate))))
+    }
+
+    /// `true` once some read (of this list or of a clone) has
+    /// generated the cases. Generates nothing itself.
+    pub fn is_generated(&self) -> bool {
+        LazyLock::get(&self.0).is_some()
+    }
+}
+
+impl Deref for Cases {
+    type Target = [ConcreteCase];
+
+    fn deref(&self) -> &[ConcreteCase] {
+        &self.0
+    }
+}
+
+impl<'a> IntoIterator for &'a Cases {
+    type Item = &'a ConcreteCase;
+    type IntoIter = std::slice::Iter<'a, ConcreteCase>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
 }
 
 /// One case-study instance: binary, abstract initial state, architecture,
@@ -179,8 +242,12 @@ pub struct Scenario {
     pub block_bits: u8,
     /// The paper's reported bounds.
     pub expected: Expected,
-    /// Concrete secret × layout sweep for emulator validation.
-    pub cases: Vec<ConcreteCase>,
+    /// Concrete secret × layout sweep for emulator validation,
+    /// generated on first read (see [`Cases`]). Read by the Theorem 1
+    /// and functional-correctness checks and by cycle estimates; the
+    /// static analysis, its cache keys and the daemon's cold path never
+    /// read it.
+    pub cases: Cases,
 }
 
 impl Scenario {
@@ -245,7 +312,8 @@ impl Scenario {
         Ok(trace)
     }
 
-    /// The number of distinct heap layouts covered by [`Scenario::cases`].
+    /// The number of distinct heap layouts covered by [`Scenario::cases`]
+    /// (generates the cases).
     pub fn layout_count(&self) -> usize {
         self.cases
             .iter()
@@ -351,6 +419,27 @@ mod tests {
         for (s, outcome) in scenarios.iter().zip(batch.outcomes()) {
             assert_eq!(outcome.name, s.name);
         }
+    }
+
+    #[test]
+    fn cases_are_generated_on_first_read_and_shared_by_clones() {
+        // The heaviest heavy-space scatter-gather cell: 64 cases of
+        // 32 × 672 scattered bytes each.
+        let spec: ScenarioSpec = "scatter-gather[s=32,n=672,aligned,b=6]".parse().unwrap();
+        let s = spec.build();
+        s.analyze().unwrap();
+        let _ = format!("{s:?}");
+        let clone = s.clone();
+        assert!(!s.cases.is_generated(), "build, analyze, Debug and clone");
+
+        assert_eq!(s.cases.len(), 2 * 32);
+        for (i, case) in s.cases.iter().enumerate() {
+            assert_eq!(case.layout, i / 32);
+            assert_eq!(case.label, format!("k={}, layout {}", i % 32, i / 32));
+            assert_eq!(case.bytes.len(), 32 * 672);
+        }
+        assert!(clone.cases.is_generated(), "the clone shares the list");
+        assert!(std::ptr::eq(&s.cases[..], &clone.cases[..]));
     }
 
     #[test]

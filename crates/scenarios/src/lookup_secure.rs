@@ -11,7 +11,7 @@ use leakaudit_analyzer::InitState;
 use leakaudit_core::ValueSet;
 use leakaudit_x86::{Asm, Cond, Mem, Reg, Reg8};
 
-use crate::{ConcreteCase, Expected, Scenario};
+use crate::{Cases, ConcreteCase, Expected, Scenario};
 
 /// Number of pre-computed values in the paper's instance (the window
 /// size 3 minus the `1` handled separately: 7 entries, paper §8.4).
@@ -85,34 +85,38 @@ pub fn variant(entries: u32, words: u32, pad_words: u32, block_bits: u8) -> Scen
         ValueSet::from_constants(0..u64::from(entries), 32),
     );
 
-    let mut cases = Vec::new();
-    for (layout, (p_base, r_base)) in [(0x080e_c000u32, 0x080e_b000u32), (0x0920_0100, 0x0910_0040)]
-        .into_iter()
-        .enumerate()
-    {
-        for k in 0..entries {
-            // Fill the table with a recognizable per-entry pattern and
-            // zero the destination; afterwards r must equal entry k.
-            let entry_stride = 4 * (words + pad_words);
-            let mut bytes = Vec::new();
-            for i in 0..entries {
-                for j in 0..(4 * words) {
-                    bytes.push((p_base + i * entry_stride + j, entry_byte(i, j)));
+    let cases = Cases::new(move || {
+        let mut cases = Vec::new();
+        for (layout, (p_base, r_base)) in
+            [(0x080e_c000u32, 0x080e_b000u32), (0x0920_0100, 0x0910_0040)]
+                .into_iter()
+                .enumerate()
+        {
+            for k in 0..entries {
+                // Fill the table with a recognizable per-entry pattern and
+                // zero the destination; afterwards r must equal entry k.
+                let entry_stride = 4 * (words + pad_words);
+                let mut bytes = Vec::new();
+                for i in 0..entries {
+                    for j in 0..(4 * words) {
+                        bytes.push((p_base + i * entry_stride + j, entry_byte(i, j)));
+                    }
                 }
+                for j in 0..(4 * words) {
+                    bytes.push((r_base + j, 0));
+                }
+                let expected: Vec<u8> = (0..(4 * words)).map(|j| entry_byte(k, j)).collect();
+                cases.push(ConcreteCase {
+                    label: format!("k={k}, layout {layout}"),
+                    layout,
+                    regs: vec![(Reg::Ebx, p_base), (Reg::Edi, r_base), (Reg::Ecx, k)],
+                    bytes,
+                    expect_mem: vec![(r_base, expected)],
+                });
             }
-            for j in 0..(4 * words) {
-                bytes.push((r_base + j, 0));
-            }
-            let expected: Vec<u8> = (0..(4 * words)).map(|j| entry_byte(k, j)).collect();
-            cases.push(ConcreteCase {
-                label: format!("k={k}, layout {layout}"),
-                layout,
-                regs: vec![(Reg::Ebx, p_base), (Reg::Edi, r_base), (Reg::Ecx, k)],
-                bytes,
-                expect_mem: vec![(r_base, expected)],
-            });
         }
-    }
+        cases
+    });
 
     let p = if pad_words == 0 {
         String::new()

@@ -18,7 +18,7 @@ use leakaudit_core::ValueSet;
 use leakaudit_x86::{Asm, Mem, Reg};
 
 use crate::registry::Opt;
-use crate::{ConcreteCase, Expected, Scenario};
+use crate::{Cases, ConcreteCase, Expected, Scenario};
 
 /// Number of window-table entries in the paper's instance.
 pub const ENTRIES: u32 = 7;
@@ -205,7 +205,7 @@ pub fn variant(opt: Opt, entries: u32, stride: u32, block_bits: u8) -> Scenario 
         init,
         block_bits,
         expected: Expected::unknown(),
-        cases: cases(entries),
+        cases: Cases::new(move || cases(entries)),
     }
 }
 

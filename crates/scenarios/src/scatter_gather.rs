@@ -13,7 +13,7 @@ use leakaudit_analyzer::InitState;
 use leakaudit_core::ValueSet;
 use leakaudit_x86::{Asm, Mem, Reg, Reg8};
 
-use crate::{ConcreteCase, Expected, Scenario};
+use crate::{Cases, ConcreteCase, Expected, Scenario};
 
 /// Number of interleaved pre-computed values in the paper's instance
 /// (`spacing` in Fig. 3).
@@ -80,35 +80,38 @@ pub fn variant(spacing: u32, value_bytes: u32, aligned: bool, block_bits: u8) ->
         ValueSet::from_constants(0..u64::from(spacing), 32),
     );
 
-    let mut cases = Vec::new();
-    for (layout, (buf_raw, r_base)) in
-        [(0x080e_b0c4u32, 0x080e_a000u32), (0x0910_0011, 0x0920_0100)]
-            .into_iter()
-            .enumerate()
-    {
-        let base = if aligned {
-            buf_raw - (buf_raw & 63) + 64
-        } else {
-            buf_raw
-        };
-        for k in 0..spacing {
-            // Host-side scatter: buf[k' + i*spacing] = byte i of value k'.
-            let mut bytes = Vec::new();
-            for kk in 0..spacing {
-                for i in 0..value_bytes {
-                    bytes.push((base + kk + i * spacing, value_byte(kk, i)));
+    let cases = Cases::new(move || {
+        let mut cases = Vec::new();
+        for (layout, (buf_raw, r_base)) in
+            [(0x080e_b0c4u32, 0x080e_a000u32), (0x0910_0011, 0x0920_0100)]
+                .into_iter()
+                .enumerate()
+        {
+            let base = if aligned {
+                buf_raw - (buf_raw & 63) + 64
+            } else {
+                buf_raw
+            };
+            for k in 0..spacing {
+                // Host-side scatter: buf[k' + i*spacing] = byte i of value k'.
+                let mut bytes = Vec::new();
+                for kk in 0..spacing {
+                    for i in 0..value_bytes {
+                        bytes.push((base + kk + i * spacing, value_byte(kk, i)));
+                    }
                 }
+                let expected: Vec<u8> = (0..value_bytes).map(|i| value_byte(k, i)).collect();
+                cases.push(ConcreteCase {
+                    label: format!("k={k}, layout {layout}"),
+                    layout,
+                    regs: vec![(Reg::Eax, buf_raw), (Reg::Ecx, k), (Reg::Edi, r_base)],
+                    bytes,
+                    expect_mem: vec![(r_base, expected)],
+                });
             }
-            let expected: Vec<u8> = (0..value_bytes).map(|i| value_byte(k, i)).collect();
-            cases.push(ConcreteCase {
-                label: format!("k={k}, layout {layout}"),
-                layout,
-                regs: vec![(Reg::Eax, buf_raw), (Reg::Ecx, k), (Reg::Edi, r_base)],
-                bytes,
-                expect_mem: vec![(r_base, expected)],
-            });
         }
-    }
+        cases
+    });
 
     let align_tag = if aligned { "aligned" } else { "unaligned" };
     Scenario {

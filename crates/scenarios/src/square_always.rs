@@ -13,7 +13,7 @@ use leakaudit_core::{MaskedSymbol, ValueSet};
 use leakaudit_x86::{Asm, Mem, Reg};
 
 use crate::registry::Opt;
-use crate::{ConcreteCase, Expected, Scenario};
+use crate::{Cases, ConcreteCase, Expected, Scenario};
 
 const SQR: u32 = 0x41b00;
 const MODRED: u32 = 0x41b40;
@@ -71,31 +71,34 @@ fn build_o2(block_bits: u8) -> Scenario {
         ValueSet::from_constants([0, 1], 32),
     );
 
-    let mut cases = Vec::new();
-    for (layout, (r_base, b_base, tmp_base)) in [
-        (0x080e_b000u32, 0x080e_c000u32, 0x080e_d000u32),
-        (0x0910_0040, 0x0920_0100, 0x0930_0200),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        for bit in 0..2u32 {
-            cases.push(ConcreteCase {
-                label: format!("e_i={bit}, layout {layout}"),
-                layout,
-                regs: vec![
-                    (Reg::Ebp, r_base),
-                    (Reg::Esi, b_base),
-                    (Reg::Edi, tmp_base),
-                    (Reg::Edx, 5),
-                ],
-                bytes: (0..4)
-                    .map(|i| (0x00f0_0080 + i, if i == 0 { bit as u8 } else { 0 }))
-                    .collect(),
-                expect_mem: Vec::new(),
-            });
+    let cases = Cases::new(move || {
+        let mut cases = Vec::new();
+        for (layout, (r_base, b_base, tmp_base)) in [
+            (0x080e_b000u32, 0x080e_c000u32, 0x080e_d000u32),
+            (0x0910_0040, 0x0920_0100, 0x0930_0200),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            for bit in 0..2u32 {
+                cases.push(ConcreteCase {
+                    label: format!("e_i={bit}, layout {layout}"),
+                    layout,
+                    regs: vec![
+                        (Reg::Ebp, r_base),
+                        (Reg::Esi, b_base),
+                        (Reg::Edi, tmp_base),
+                        (Reg::Edx, 5),
+                    ],
+                    bytes: (0..4)
+                        .map(|i| (0x00f0_0080 + i, if i == 0 { bit as u8 } else { 0 }))
+                        .collect(),
+                    expect_mem: Vec::new(),
+                });
+            }
         }
-    }
+        cases
+    });
 
     Scenario {
         name: format!("square-and-always-multiply[O2,b={block_bits}]"),
@@ -150,18 +153,21 @@ fn build_o0(block_bits: u8) -> Scenario {
     .value;
     init.write_mem(slot, ValueSet::from_constants([0, 1], 32));
 
-    let mut cases = Vec::new();
-    for (layout, frame) in [0x00f0_0100u32, 0x00f0_0200].into_iter().enumerate() {
-        for bit in 0..2u32 {
-            cases.push(ConcreteCase {
-                label: format!("e_i={bit}, layout {layout}"),
-                layout,
-                regs: vec![(Reg::Ebp, frame), (Reg::Edx, 5)],
-                bytes: vec![(frame - 0x10, bit as u8)],
-                expect_mem: Vec::new(),
-            });
+    let cases = Cases::new(move || {
+        let mut cases = Vec::new();
+        for (layout, frame) in [0x00f0_0100u32, 0x00f0_0200].into_iter().enumerate() {
+            for bit in 0..2u32 {
+                cases.push(ConcreteCase {
+                    label: format!("e_i={bit}, layout {layout}"),
+                    layout,
+                    regs: vec![(Reg::Ebp, frame), (Reg::Edx, 5)],
+                    bytes: vec![(frame - 0x10, bit as u8)],
+                    expect_mem: Vec::new(),
+                });
+            }
         }
-    }
+        cases
+    });
 
     Scenario {
         name: format!("square-and-always-multiply[O0,b={block_bits}]"),

@@ -13,7 +13,7 @@ use leakaudit_analyzer::InitState;
 use leakaudit_core::ValueSet;
 use leakaudit_x86::{Asm, Mem, Reg};
 
-use crate::{ConcreteCase, Expected, Scenario};
+use crate::{Cases, ConcreteCase, Expected, Scenario};
 
 /// Base address of the multi-precision stubs.
 const STUBS: u32 = 0x41b00;
@@ -88,28 +88,32 @@ pub fn variant(stub_stride: u32, secret_bits: u32, block_bits: u8) -> Scenario {
         ValueSet::from_constants(0..1u64 << secret_bits, 32),
     );
 
-    let mut cases = Vec::new();
-    for (layout, (r_base, b_base)) in [(0x080e_b000u32, 0x080e_c000u32), (0x0910_0040, 0x0920_0100)]
-        .into_iter()
-        .enumerate()
-    {
-        // Concrete validation covers the boundary windows (0, 1, max);
-        // wider windows take the same two paths as 1.
-        let mut windows = vec![0u32, 1];
-        let max = (1u32 << secret_bits) - 1;
-        if max > 1 {
-            windows.push(max);
+    let cases = Cases::new(move || {
+        let mut cases = Vec::new();
+        for (layout, (r_base, b_base)) in
+            [(0x080e_b000u32, 0x080e_c000u32), (0x0910_0040, 0x0920_0100)]
+                .into_iter()
+                .enumerate()
+        {
+            // Concrete validation covers the boundary windows (0, 1, max);
+            // wider windows take the same two paths as 1.
+            let mut windows = vec![0u32, 1];
+            let max = (1u32 << secret_bits) - 1;
+            if max > 1 {
+                windows.push(max);
+            }
+            for window in windows {
+                cases.push(ConcreteCase {
+                    label: format!("e_i={window}, layout {layout}"),
+                    layout,
+                    regs: vec![(Reg::Ebp, r_base), (Reg::Esi, b_base), (Reg::Edx, window)],
+                    bytes: Vec::new(),
+                    expect_mem: Vec::new(),
+                });
+            }
         }
-        for window in windows {
-            cases.push(ConcreteCase {
-                label: format!("e_i={window}, layout {layout}"),
-                layout,
-                regs: vec![(Reg::Ebp, r_base), (Reg::Esi, b_base), (Reg::Edx, window)],
-                bytes: Vec::new(),
-                expect_mem: Vec::new(),
-            });
-        }
-    }
+        cases
+    });
 
     let w = if secret_bits == 1 {
         String::new()

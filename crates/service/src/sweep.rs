@@ -804,7 +804,9 @@ impl SweepEngine {
     /// so grouped rows are byte-for-byte what a solo run yields. The
     /// lead is `Computed` with the pass's wall time and profile; other
     /// members are [`Provenance::SharedPass`] at zero elapsed with an
-    /// all-zero profile. Errors (including
+    /// all-zero profile. The caches store every member's rows with an
+    /// all-zero profile (one row copy for the lead), so a later memory
+    /// hit reads like a disk hit. Errors (including
     /// cancellations) apply to every member and, like solo errors, are
     /// never cached.
     fn demux_outcome(
@@ -843,10 +845,17 @@ impl SweepEngine {
                         };
                         Arc::new(LeakReport::new(rows, profile))
                     };
+                    // The caches keep the rows alone: a later hit ran
+                    // no pipeline, so it must not carry the lead's pass.
+                    let cached = if pos == 0 {
+                        Arc::new(LeakReport::from_rows(report.rows().to_vec()))
+                    } else {
+                        Arc::clone(&report)
+                    };
                     let key = metas[m].0;
-                    self.memory.put(key, Arc::clone(&report));
+                    self.memory.put(key, Arc::clone(&cached));
                     if self.disk.is_some() {
-                        disk_batch.push((key, Arc::clone(&report)));
+                        disk_batch.push((key, cached));
                     }
                     let (provenance, elapsed) = if pos == 0 {
                         (Provenance::Computed, outcome.elapsed)
@@ -924,6 +933,10 @@ impl SweepEngine {
 /// its access trace through a split L1 hierarchy under `policy`,
 /// returning the cycle estimate (`None` if the scenario has no cases or
 /// the emulation fails — cycle columns are advisory).
+///
+/// This generates the scenario's concrete cases (see
+/// [`leakaudit_scenarios::Cases`]): it is the one reader of them on the
+/// sweep and daemon paths, so only the opt-in cycle column pays for them.
 pub fn cycle_estimate(scenario: &Scenario, policy: Policy) -> Option<u64> {
     let case = scenario.cases.first()?;
     let trace = scenario.emulate(case).ok()?;
@@ -984,7 +997,8 @@ mod tests {
         for (a, b) in cold.cells().iter().zip(warm.cells()) {
             assert_eq!(b.provenance, Provenance::MemoryHit);
             let (ra, rb) = (a.result.as_ref().unwrap(), b.result.as_ref().unwrap());
-            assert!(Arc::ptr_eq(ra, rb), "warm hits share the original report");
+            assert_eq!(ra.rows(), rb.rows(), "warm hits serve the original rows");
+            assert_eq!(rb.profile(), AnalysisProfile::default(), "without its pass");
         }
     }
 

@@ -5,8 +5,7 @@
 //! suite pins the "analyze once" half of the tentpole: a grouped sweep
 //! runs exactly one scheduler pass per distinct interpretation.
 
-use std::sync::Arc;
-
+use leakaudit_analyzer::AnalysisProfile;
 use leakaudit_scenarios::{FamilyParams, Opt, Registry, ScenarioSpec};
 use leakaudit_service::{cache::encode_row, Daemon, Json, Provenance, SweepCell, SweepEngine};
 
@@ -64,17 +63,17 @@ fn every_grouped_cell_matches_its_solo_run_byte_for_byte() {
         );
     }
 
-    // Warm: the same sweep again is pure cache hits sharing the
-    // grouped run's reports.
+    // Warm: the same sweep again is pure cache hits serving the
+    // grouped run's rows, without its pass.
     let warm = grouped_engine.run(&registry);
     assert_eq!(warm.computed(), 0);
     assert_eq!(warm.shared_pass(), 0);
     for (g, w) in grouped.cells().iter().zip(warm.cells()) {
         assert_eq!(w.provenance, Provenance::MemoryHit, "{}", w.spec.id());
-        assert!(Arc::ptr_eq(
-            g.result.as_ref().unwrap(),
-            w.result.as_ref().unwrap()
-        ));
+        assert_eq!(
+            w.result.as_ref().unwrap().profile(),
+            AnalysisProfile::default()
+        );
         assert_eq!(rendered_rows(g), rendered_rows(w));
     }
 }
@@ -234,8 +233,6 @@ fn memo_off_union_pass_is_byte_identical_and_key_identical() {
 
 #[test]
 fn profiles_ride_along_without_touching_identity() {
-    use leakaudit_analyzer::AnalysisProfile;
-
     // A computed cell's report carries a real profile: one run, and an
     // interpret time that is never zero for a real binary.
     let sa = ScenarioSpec::new(FamilyParams::SquareAlways { opt: Opt::O2 }, 6);
@@ -255,13 +252,16 @@ fn profiles_ride_along_without_touching_identity() {
     let rerun = SweepEngine::new().query(&sa);
     assert_eq!(rendered_rows(&rerun), rendered_rows(&cold));
 
-    // Warm hits share the cold report Arc, profile included; shared-pass
+    // Warm hits serve the cold rows with a zero profile, and shared-pass
     // members view the pass through a demuxed report whose profile is
-    // zero — a view did not pay for the pass. The lead's pass is still
+    // zero — neither paid for the pass. The lead's pass is still
     // accounted once in the executor's profile.
     let warm = engine.query(&sa);
     assert_eq!(warm.provenance, Provenance::MemoryHit);
-    assert_eq!(warm.result.as_ref().unwrap().profile(), profile);
+    assert_eq!(
+        warm.result.as_ref().unwrap().profile(),
+        AnalysisProfile::default()
+    );
     assert_eq!(engine.profile().runs, 1, "a cache hit runs nothing");
 
     let registry = Registry::granularity_sweep();

@@ -6,11 +6,12 @@
 //!   step count, and the memo-off run never hits;
 //! * an executor's profile is the field-wise sum of its successful
 //!   reports' profiles;
-//! * a report that ran no pipeline — decoded from the result cache, or
-//!   a shared-pass view of another cell's pass — carries an all-zero
-//!   profile, while every computed cell of a sweep, a shared pass's lead
-//!   among them, carries its pass's profile (one run), and those
-//!   profiles sum to the sweep's executor profile.
+//! * a report that ran no pipeline — decoded from the result cache, a
+//!   memory-cache hit, or a shared-pass view of another cell's pass —
+//!   carries an all-zero profile, while every computed cell of a sweep,
+//!   a shared pass's lead among them, carries its pass's profile (one
+//!   run), and the cell profiles of every sweep on one engine sum to
+//!   its executor profile.
 
 use std::sync::Arc;
 
@@ -129,4 +130,23 @@ fn reports_that_ran_no_pipeline_carry_a_zero_profile() {
     assert!(shared > 0, "the default sweep shares scheduler passes");
     assert_eq!(engine.profile().runs, report.computed() as u64);
     assert_eq!(engine.profile(), computed, "executor = Σ computed cells");
+
+    // The same sweep again on the same engine: every cell is a memory
+    // hit, which ran no pipeline, so the engine's profile stays the sum
+    // of both sweeps' cell profiles.
+    let warm = engine.run(&registry);
+    let mut sum = AnalysisProfile::default();
+    for cell in report.cells().iter().chain(warm.cells()) {
+        sum.add(&cell.result.as_ref().unwrap().profile());
+    }
+    for cell in warm.cells() {
+        assert_eq!(cell.provenance, Provenance::MemoryHit, "{}", cell.spec.id());
+        assert_eq!(
+            cell.result.as_ref().unwrap().profile(),
+            AnalysisProfile::default(),
+            "{}: a memory hit ran no pipeline",
+            cell.spec.id()
+        );
+    }
+    assert_eq!(engine.profile(), sum, "executor = Σ cells of both sweeps");
 }
