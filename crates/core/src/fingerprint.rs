@@ -30,7 +30,17 @@ impl Fingerprint {
     /// The fingerprint as a fixed-width lowercase hex string (32 chars) —
     /// the on-disk cache key format.
     pub fn to_hex(self) -> String {
-        format!("{:032x}", self.0)
+        let mut s = String::with_capacity(32);
+        self.write_hex(&mut s);
+        s
+    }
+
+    /// Appends the [`Fingerprint::to_hex`] spelling to `out`.
+    pub fn write_hex(self, out: &mut String) {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        for i in (0..32).rev() {
+            out.push(char::from(HEX[(self.0 >> (4 * i)) as usize & 0xf]));
+        }
     }
 
     /// Parses the [`Fingerprint::to_hex`] format back — strictly: only
@@ -254,5 +264,26 @@ mod tests {
         // Strictly canonical: only fixed-width lowercase hex parses.
         assert_eq!(Fingerprint::from_hex(&"AB".repeat(16)), None);
         assert_eq!(Fingerprint::from_hex(&format!("+{}", "0".repeat(31))), None);
+    }
+
+    fn assert_fixed_width_hex(v: u128) {
+        let mut out = String::from("k=");
+        Fingerprint(v).write_hex(&mut out);
+        assert_eq!(out, format!("k={v:032x}"));
+        assert_eq!(Fingerprint(v).to_hex(), format!("{v:032x}"));
+    }
+
+    #[test]
+    fn write_hex_is_the_fixed_width_format() {
+        for v in [0, 1, 0xf, 1 << 64, (1 << 127) | 1, u128::MAX] {
+            assert_fixed_width_hex(v);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn write_hex_matches_format_on_any_value(v in proptest::prelude::any::<u128>()) {
+            assert_fixed_width_hex(v);
+        }
     }
 }

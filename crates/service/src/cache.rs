@@ -56,9 +56,10 @@ pub struct CacheStats {
 /// actual size is what bounds memory.
 pub fn report_weight(report: &LeakReport) -> u64 {
     let rows = report.rows();
+    // Half the count's hex digit count, read off its bit length.
     let per_row: u64 = rows
         .iter()
-        .map(|r| 48 + r.count.to_hex().len() as u64 / 2)
+        .map(|r| 48 + r.count.bit_len().div_ceil(4).max(1) as u64 / 2)
         .sum();
     64 + per_row
 }
@@ -338,16 +339,19 @@ pub fn encode_row(row: &LeakRow) -> String {
 
 /// Appends one row in the [`encode_row`] spelling — the only row
 /// formatter, shared by disk entries and daemon responses.
+/// Every field goes straight into `out`, with no temporary string.
 pub(crate) fn write_wire_row(out: &mut String, row: &LeakRow) -> fmt::Result {
-    use fmt::Write as _;
-    write!(
-        out,
-        "{{\"channel\":{},\"offset_bits\":{},\"stuttering\":{},\"count_hex\":\"{}\",\"bits\":",
-        row.spec.channel.code(),
-        row.spec.observer.offset_bits(),
-        u8::from(row.spec.observer.is_stuttering()),
-        row.count.to_hex(),
-    )?;
+    out.push_str("{\"channel\":");
+    crate::proto::write_digits(out, row.spec.channel.code().into())?;
+    out.push_str(",\"offset_bits\":");
+    crate::proto::write_digits(out, row.spec.observer.offset_bits().into())?;
+    out.push_str(if row.spec.observer.is_stuttering() {
+        ",\"stuttering\":1,\"count_hex\":\""
+    } else {
+        ",\"stuttering\":0,\"count_hex\":\""
+    });
+    row.count.write_hex(out);
+    out.push_str("\",\"bits\":");
     crate::proto::write_num(out, row.bits)?;
     out.push('}');
     Ok(())
@@ -399,15 +403,15 @@ pub fn decode_report(text: &str) -> Option<LeakReport> {
 
 /// Decodes one [`encode_row`] line. `None` on any mismatch.
 pub fn decode_row(line: &str) -> Option<LeakRow> {
-    let channel = Channel::from_code(field(line, "channel")?.parse().ok()?)?;
-    let offset_bits: u8 = field(line, "offset_bits")?.parse().ok()?;
-    let stuttering = match field(line, "stuttering")? {
+    let channel = Channel::from_code(field(line, "\"channel\":")?.parse().ok()?)?;
+    let offset_bits: u8 = field(line, "\"offset_bits\":")?.parse().ok()?;
+    let stuttering = match field(line, "\"stuttering\":")? {
         "0" => false,
         "1" => true,
         _ => return None,
     };
-    let count = Natural::from_hex(field(line, "count_hex")?).ok()?;
-    let bits: f64 = field(line, "bits")?.parse().ok()?;
+    let count = Natural::from_hex(field(line, "\"count_hex\":")?).ok()?;
+    let bits: f64 = field(line, "\"bits\":")?.parse().ok()?;
     let mut observer = Observer::block(offset_bits);
     if stuttering {
         observer = observer.stuttering();
@@ -419,11 +423,10 @@ pub fn decode_row(line: &str) -> Option<LeakRow> {
     })
 }
 
-/// Extracts the raw text of `"key":value` within one flat JSON object
-/// line (quotes stripped).
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let at = line.find(&needle)? + needle.len();
+/// Extracts the raw text after `needle` (a quoted key and its colon,
+/// `"key":`) within one flat JSON object line (quotes stripped).
+fn field<'a>(line: &'a str, needle: &str) -> Option<&'a str> {
+    let at = line.find(needle)? + needle.len();
     let rest = &line[at..];
     let end = rest.find([',', '}'])?;
     Some(rest[..end].trim().trim_matches('"'))
@@ -491,6 +494,167 @@ mod tests {
             assert_eq!(back.spec, row.spec);
             assert_eq!(back.count, row.count);
             assert_eq!(back.bits.to_bits(), row.bits.to_bits(), "{disk}");
+        }
+    }
+
+    /// The `write!`-based row formatter [`write_wire_row`] replaced,
+    /// kept as the oracle of the wire spelling.
+    fn encode_row_oracle(row: &LeakRow) -> String {
+        use fmt::Write as _;
+        let mut out = String::new();
+        let mut hex = String::new();
+        if row.count.is_zero() {
+            hex.push('0');
+        }
+        for (i, limb) in row.count.limbs().iter().enumerate().rev() {
+            if i == row.count.limbs().len() - 1 {
+                hex.push_str(&format!("{limb:x}"));
+            } else {
+                hex.push_str(&format!("{limb:08x}"));
+            }
+        }
+        write!(
+            out,
+            "{{\"channel\":{},\"offset_bits\":{},\"stuttering\":{},\"count_hex\":\"{}\",\"bits\":",
+            row.spec.channel.code(),
+            row.spec.observer.offset_bits(),
+            u8::from(row.spec.observer.is_stuttering()),
+            hex,
+        )
+        .unwrap();
+        if row.bits.fract() == 0.0 && row.bits.abs() < 2f64.powi(53) {
+            write!(out, "{}", row.bits as i64).unwrap();
+        } else {
+            write!(out, "{:?}", row.bits).unwrap();
+        }
+        out.push('}');
+        out
+    }
+
+    /// Checks the row writer against the oracle, alone and appended
+    /// after other text, and the eviction weight against its old
+    /// hex-length reading.
+    fn assert_old_spelling(row: &LeakRow) {
+        let expected = encode_row_oracle(row);
+        assert_eq!(encode_row(row), expected, "{row:?}");
+        let mut out = String::from("[{},");
+        write_wire_row(&mut out, row).unwrap();
+        assert_eq!(out, format!("[{{}},{expected}"));
+        let report = LeakReport::from_rows(vec![row.clone()]);
+        assert_eq!(
+            report_weight(&report),
+            64 + 48 + row.count.to_hex().len() as u64 / 2
+        );
+    }
+
+    fn wire_row(code: u8, offset_bits: u8, stuttering: bool, count: Natural, bits: f64) -> LeakRow {
+        let mut observer = Observer::block(offset_bits);
+        if stuttering {
+            observer = observer.stuttering();
+        }
+        LeakRow {
+            spec: ObserverSpec {
+                channel: Channel::from_code(code).unwrap(),
+                observer,
+            },
+            count,
+            bits,
+        }
+    }
+
+    #[test]
+    fn every_row_spec_keeps_the_old_spelling() {
+        for code in 0..3 {
+            for offset_bits in 0..=u8::MAX {
+                for stuttering in [false, true] {
+                    let count = Natural::from(u64::from(offset_bits) + 2);
+                    let bits = TraceDag::bits_for_count(&count);
+                    assert_old_spelling(&wire_row(code, offset_bits, stuttering, count, bits));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn edge_counts_and_bits_keep_the_old_spelling() {
+        let two53 = 2f64.powi(53);
+        let counts = [
+            Natural::zero(),
+            Natural::one(),
+            Natural::from(u32::MAX),
+            Natural::from(1u64 << 32),
+            Natural::from(u64::MAX),
+            Natural::one().shl_bits(64),
+            Natural::from_limbs(vec![7, 0, 0, 1]),
+            Natural::from_limbs(vec![0, 0xf, 0, 0, 0x10]),
+            Natural::one().shl_bits(4096) - Natural::one(),
+        ];
+        let bits = [
+            0.0,
+            -0.0,
+            1.0,
+            two53 - 1.0,
+            two53,
+            two53 + 2.0,
+            -(two53 - 1.0),
+            0.5,
+            2.321928094887362,
+            1e-300,
+            1152.0000000000002,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for count in &counts {
+            for &b in &bits {
+                assert_old_spelling(&wire_row(1, 6, true, count.clone(), b));
+            }
+            let b = TraceDag::bits_for_count(count);
+            assert_old_spelling(&wire_row(2, 0, false, count.clone(), b));
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Counts up to 4,096 bits, rich in zero and all-ones limbs.
+        fn count() -> impl Strategy<Value = Natural> {
+            prop_oneof![
+                any::<u64>().prop_map(Natural::from),
+                proptest::collection::vec(
+                    prop_oneof![Just(0u32), Just(u32::MAX), any::<u32>()],
+                    0..129
+                )
+                .prop_map(Natural::from_limbs),
+            ]
+        }
+
+        /// Integral values on both sides of 2^53, fractions, and any
+        /// bit pattern at all (negatives, infinities, NaNs).
+        fn bits() -> impl Strategy<Value = Option<f64>> {
+            prop_oneof![
+                Just(None),
+                (0u64..1 << 54).prop_map(|v| Some(v as f64)),
+                (any::<u32>(), 1u32..1000).prop_map(|(a, b)| Some(f64::from(a) / f64::from(b))),
+                any::<u64>().prop_map(|v| Some(f64::from_bits(v))),
+            ]
+        }
+
+        proptest! {
+            #[test]
+            fn encode_row_matches_the_write_oracle(
+                code in 0u8..3,
+                offset_bits in any::<u8>(),
+                stuttering in any::<bool>(),
+                count in count(),
+                bits in bits(),
+            ) {
+                // `None` stands for the production pairing: the bits of
+                // the count.
+                let bits = bits.unwrap_or_else(|| TraceDag::bits_for_count(&count));
+                assert_old_spelling(&wire_row(code, offset_bits, stuttering, count, bits));
+            }
         }
     }
 

@@ -70,7 +70,7 @@
 //! as `{"ok":false,"error":"…"}` — the connection stays usable.
 
 use std::collections::HashMap;
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -801,7 +801,9 @@ fn write_cell(out: &mut String, head: &str, cell: &SweepCell) -> fmt::Result {
     write_escaped(out, &cell.spec.id())?;
     out.push_str(",\"name\":");
     write_escaped(out, &cell.name)?;
-    write!(out, ",\"key\":\"{}\",\"provenance\":", cell.key.to_hex())?;
+    out.push_str(",\"key\":\"");
+    cell.key.write_hex(out);
+    out.push_str("\",\"provenance\":");
     write_escaped(out, cell.provenance.tag())?;
     out.push_str(",\"elapsed_ms\":");
     write_num(out, cell.elapsed.as_secs_f64() * 1e3)?;

@@ -122,6 +122,11 @@ impl CacheKey {
         self.0.to_hex()
     }
 
+    /// Appends the [`CacheKey::to_hex`] spelling to `out`.
+    pub(crate) fn write_hex(self, out: &mut String) {
+        self.0.write_hex(out);
+    }
+
     /// Parses [`CacheKey::to_hex`] back.
     pub fn from_hex(s: &str) -> Option<Self> {
         Fingerprint::from_hex(s).map(CacheKey)

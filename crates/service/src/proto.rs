@@ -149,10 +149,28 @@ impl fmt::Display for Json {
 /// integer, anything else as the shortest text that round-trips.
 pub(crate) fn write_num(out: &mut impl fmt::Write, n: f64) -> fmt::Result {
     if n.fract() == 0.0 && n.abs() < 2f64.powi(53) {
-        write!(out, "{}", n as i64)
+        if n < 0.0 {
+            out.write_char('-')?;
+        }
+        write_digits(out, n.abs() as u64)
     } else {
         write!(out, "{n:?}")
     }
+}
+
+/// Writes `v` in decimal.
+pub(crate) fn write_digits(out: &mut impl fmt::Write, mut v: u64) -> fmt::Result {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.write_str(std::str::from_utf8(&buf[at..]).expect("decimal digits are ASCII"))
 }
 
 /// Writes `s` as a quoted JSON string, copying each run of characters

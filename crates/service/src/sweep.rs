@@ -104,7 +104,8 @@ pub enum Provenance {
     /// Freshly analyzed in this sweep.
     Computed,
     /// Identical to the cell at the given index of the same sweep
-    /// (same cache key — deduplicated before any analysis ran).
+    /// (same cache key — deduplicated before any analysis ran): the
+    /// owner's rows with an all-zero profile, like a cache hit.
     Shared {
         /// Index of the cell that owns the work.
         of: usize,
@@ -741,12 +742,13 @@ impl SweepEngine {
         let mut cells: Vec<SweepCell> = Vec::with_capacity(specs.len());
         for (i, &spec) in specs.iter().enumerate() {
             let (provenance, result, elapsed) = if let Some(of) = shared_of[i] {
-                // The owning cell precedes every sharer.
-                (
-                    Provenance::Shared { of },
-                    cells[of].result.clone(),
-                    Duration::ZERO,
-                )
+                // The owning cell precedes every sharer. A repeat ran no
+                // pipeline, so it gets the rows without the owner's pass.
+                let result = match &cells[of].result {
+                    Ok(report) => Ok(Arc::new(LeakReport::from_rows(report.rows().to_vec()))),
+                    Err(e) => Err(Arc::clone(e)),
+                };
+                (Provenance::Shared { of }, result, Duration::ZERO)
             } else if let Some((provenance, result)) = resolved[i].take() {
                 (provenance, result, Duration::ZERO)
             } else {
@@ -1009,12 +1011,17 @@ mod tests {
         let report = engine.run_specs(&[spec, spec, spec]);
         assert_eq!(report.computed(), 1, "one analysis serves all three");
         assert_eq!(report.cells()[0].provenance, Provenance::Computed);
+        let lead = report.cells()[0].result.as_ref().unwrap();
+        assert_eq!(lead.profile().runs, 1, "the lead carries its pass");
         for cell in &report.cells()[1..] {
             assert_eq!(cell.provenance, Provenance::Shared { of: 0 });
-            assert!(Arc::ptr_eq(
-                report.cells()[0].result.as_ref().unwrap(),
-                cell.result.as_ref().unwrap()
-            ));
+            let repeat = cell.result.as_ref().unwrap();
+            assert_eq!(repeat.rows(), lead.rows());
+            assert_eq!(
+                repeat.profile(),
+                AnalysisProfile::default(),
+                "no pass of its own"
+            );
         }
         // A later single query hits the memory cache.
         let again = engine.query(&spec);

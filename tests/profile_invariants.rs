@@ -7,7 +7,8 @@
 //! * an executor's profile is the field-wise sum of its successful
 //!   reports' profiles;
 //! * a report that ran no pipeline — decoded from the result cache, a
-//!   memory-cache hit, or a shared-pass view of another cell's pass —
+//!   memory-cache hit, a repeat of a spec earlier in the same sweep, or
+//!   a shared-pass view of another cell's pass —
 //!   carries an all-zero profile, while every computed cell of a sweep,
 //!   a shared pass's lead among them, carries its pass's profile (one
 //!   run), and the cell profiles of every sweep on one engine sum to
@@ -16,7 +17,7 @@
 use std::sync::Arc;
 
 use leakaudit::analyzer::{AnalysisConfig, AnalysisProfile, Executor, OwnedJob};
-use leakaudit::scenarios::{self, Registry, Scenario};
+use leakaudit::scenarios::{self, Registry, Scenario, ScenarioSpec};
 use leakaudit::service::cache::{decode_report, encode_report};
 use leakaudit::service::{Provenance, SweepEngine};
 
@@ -149,4 +150,35 @@ fn reports_that_ran_no_pipeline_carry_a_zero_profile() {
         );
     }
     assert_eq!(engine.profile(), sum, "executor = Σ cells of both sweeps");
+}
+
+#[test]
+fn a_repeated_spec_carries_a_zero_profile() {
+    let registry = Registry::default_sweep();
+    let specs: Vec<ScenarioSpec> = registry.specs()[..3]
+        .iter()
+        .flat_map(|&spec| [spec, spec])
+        .collect();
+    let engine = SweepEngine::new();
+    let report = engine.run_specs(&specs);
+    let mut sum = AnalysisProfile::default();
+    let mut repeats = 0;
+    for cell in report.cells() {
+        let leak = cell.result.as_ref().expect("the cell analyzes");
+        if let Provenance::Shared { of } = cell.provenance {
+            repeats += 1;
+            let owner = report.cells()[of].result.as_ref().unwrap();
+            assert_eq!(leak.rows(), owner.rows(), "{}", cell.spec.id());
+            assert_eq!(
+                leak.profile(),
+                AnalysisProfile::default(),
+                "{}: a repeat ran no pipeline",
+                cell.spec.id()
+            );
+        }
+        sum.add(&leak.profile());
+    }
+    assert_eq!(repeats, 3, "every second spec repeats the one before");
+    assert_eq!(engine.profile().runs, report.computed() as u64);
+    assert_eq!(engine.profile(), sum, "executor = Σ cells");
 }
