@@ -1,13 +1,22 @@
-//! A set-associative cache simulator with a simple cycle model.
+//! A set-associative cache simulator: the concrete miss-pattern oracle.
 //!
-//! The paper's observers (§3.2) abstract away cache *state* — they model
-//! what an adversary can learn from the sequence of accessed units. This
-//! crate provides the complementary concrete artifact: a cache simulator
-//! used (a) to estimate cycle counts for the performance experiment
-//! (Fig. 16's "cycles" column had to be measured on an Intel Q9550; we
-//! substitute a deterministic cache+latency model), and (b) to demonstrate
-//! in examples that the block-trace observer corresponds to what a
-//! cache-probing adversary distinguishes.
+//! The paper's observers (§3.2) abstract away cache *state*: they model
+//! what an adversary learns from the sequence of accessed units. An L1
+//! adversary that sees which of the victim's accesses hit and which
+//! missed (the trace-driven class in the usual taxonomy of cache
+//! attacks, surveyed in arXiv 2312.11094) learns no more than the
+//! block-trace observer. This crate is the concrete side of that
+//! correspondence. A [`Cache`] started empty turns a data-address trace
+//! into a hit/miss sequence, and that sequence depends only on the
+//! trace's sequence of lines (addresses within one line are
+//! interchangeable, pinned by a unit test under every [`Policy`]). So
+//! for one heap layout:
+//!
+//! > distinct hit/miss patterns ≤ distinct block views ≤ static count,
+//!
+//! the second step being the paper's Theorem 1 for the block observer
+//! at the cache's line size. The `cache_policies` example checks the
+//! whole chain for every paper scenario under LRU, FIFO and tree-PLRU.
 //!
 //! # Example
 //!
@@ -318,74 +327,6 @@ impl Cache {
     }
 }
 
-/// Latency model: cycles charged per access outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CycleModel {
-    /// Cycles for an L1 hit.
-    pub l1_hit: u64,
-    /// Cycles for an L1 miss (memory/L2 fill).
-    pub miss: u64,
-    /// Base cycles per executed instruction.
-    pub per_inst: u64,
-}
-
-impl Default for CycleModel {
-    /// Latencies in the ballpark of the Core 2 generation the paper
-    /// measured on (L1 hit ≈ 3 cycles, miss to L2 ≈ 15).
-    fn default() -> Self {
-        CycleModel {
-            l1_hit: 3,
-            miss: 15,
-            per_inst: 1,
-        }
-    }
-}
-
-/// A split L1 hierarchy (instruction + data) with a cycle accumulator —
-/// enough to give the Fig. 16 "cycles" column a deterministic analogue.
-#[derive(Debug, Clone)]
-pub struct Hierarchy {
-    /// Instruction cache.
-    pub l1i: Cache,
-    /// Data cache.
-    pub l1d: Cache,
-    model: CycleModel,
-    cycles: u64,
-}
-
-impl Hierarchy {
-    /// Creates a hierarchy with identical I/D geometry.
-    pub fn new(config: CacheConfig, model: CycleModel) -> Self {
-        Hierarchy {
-            l1i: Cache::new(config),
-            l1d: Cache::new(config),
-            model,
-            cycles: 0,
-        }
-    }
-
-    /// Records an instruction fetch.
-    pub fn fetch(&mut self, addr: u64) {
-        let hit = self.l1i.access(addr);
-        self.cycles += self.model.per_inst + if hit { 0 } else { self.model.miss };
-    }
-
-    /// Records a data access.
-    pub fn data(&mut self, addr: u64) {
-        let hit = self.l1d.access(addr);
-        self.cycles += if hit {
-            self.model.l1_hit
-        } else {
-            self.model.miss
-        };
-    }
-
-    /// Accumulated cycle estimate.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -558,7 +499,7 @@ mod tests {
     fn capacity_and_defaults() {
         let cfg = CacheConfig::l1_default();
         assert_eq!(cfg.capacity(), 32 * 1024);
-        assert_eq!(CycleModel::default().per_inst, 1);
+        assert_eq!(cfg.policy, Policy::Lru);
     }
 
     #[test]
@@ -576,24 +517,62 @@ mod tests {
     }
 
     #[test]
-    fn hierarchy_cycles() {
-        let mut h = Hierarchy::new(CacheConfig::l1_default(), CycleModel::default());
-        h.fetch(0x1000); // miss: 1 + 15
-        h.fetch(0x1001); // hit: 1
-        h.data(0x8000); // miss: 15
-        h.data(0x8004); // hit: 3
-        assert_eq!(h.cycles(), 16 + 1 + 15 + 3);
-        assert_eq!(h.l1i.stats().accesses(), 2);
-        assert_eq!(h.l1d.stats().misses, 1);
-    }
-
-    #[test]
     fn flush_empties_but_keeps_stats() {
         let mut c = small();
         c.access(0x100);
         c.flush();
         assert!(!c.probe(0x100));
         assert_eq!(c.stats().misses, 1);
+    }
+
+    /// The (sets, ways) geometries of the random-stream tests. Their
+    /// streams range over 32 lines, more than every geometry holds, so
+    /// evictions occur.
+    const GEOMETRIES: [(u32, u32); 6] = [(1, 1), (1, 2), (2, 2), (1, 4), (2, 4), (4, 2)];
+
+    /// xorshift64: a fixed, dependency-free pseudo-random stream.
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    /// Line invariance, the premise of "hit/miss patterns ≤ block
+    /// views": two address streams with the same line sequence (the
+    /// addresses differ only below `line_bytes`) yield the same hit/miss
+    /// sequence and the same counters, so the outcome of a run is a
+    /// function of its block view at the line size.
+    #[test]
+    fn streams_with_equal_line_sequences_hit_and_miss_alike() {
+        const LINE: u64 = 16;
+        for policy in Policy::ALL {
+            for (sets, ways) in GEOMETRIES {
+                let config = CacheConfig {
+                    sets,
+                    ways,
+                    line_bytes: LINE as u32,
+                    policy,
+                };
+                for seed in 1..=16u64 {
+                    let mut next = xorshift(seed);
+                    let mut a = Cache::new(config);
+                    let mut b = Cache::new(config);
+                    for _ in 0..64 {
+                        let line = next() % 32;
+                        let (x, y) = (next() % LINE, next() % LINE);
+                        assert_eq!(
+                            a.access(line * LINE + x),
+                            b.access(line * LINE + y),
+                            "{policy} {sets}x{ways} seed {seed}"
+                        );
+                    }
+                    assert_eq!(a.stats(), b.stats(), "{policy} {sets}x{ways} seed {seed}");
+                }
+            }
+        }
     }
 
     /// Stutter invariance, the property behind stuttering observers: an
@@ -605,7 +584,7 @@ mod tests {
         const LINE: u64 = 16;
         let mut repeats = 0u32;
         for policy in Policy::ALL {
-            for (sets, ways) in [(1, 1), (1, 2), (2, 2), (1, 4), (2, 4), (4, 2)] {
+            for (sets, ways) in GEOMETRIES {
                 let config = CacheConfig {
                     sets,
                     ways,
@@ -613,15 +592,7 @@ mod tests {
                     policy,
                 };
                 for seed in 1..=16u64 {
-                    // xorshift64: a fixed, dependency-free address stream
-                    // over 32 lines, more than every geometry holds.
-                    let mut state = seed;
-                    let mut next = move || {
-                        state ^= state << 13;
-                        state ^= state >> 7;
-                        state ^= state << 17;
-                        state
-                    };
+                    let mut next = xorshift(seed);
                     let mut plain = Cache::new(config);
                     let mut stuttered = Cache::new(config);
                     for _ in 0..64 {

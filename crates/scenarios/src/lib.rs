@@ -173,12 +173,13 @@ pub struct ConcreteCase {
 ///
 /// A case list can hold over a million `(address, byte)` pairs (a
 /// scatter-gather cell fills every interleaved value for every secret
-/// and layout), and the static analysis never reads it: only the
-/// emulator-side checks do (Theorem 1, functional post-conditions, the
-/// service crate's opt-in cycle estimates). So a builder hands its case
-/// loop over as a closure, and the first read through [`Deref`] or
-/// `&Cases` runs it once; every clone of the scenario shares the
-/// result. `Debug` prints the cases only once they exist.
+/// and layout), and neither the static analysis nor any sweep or
+/// daemon path reads it: only the emulator-side checks do (Theorem 1,
+/// functional post-conditions, the cache-simulator oracle example). So
+/// a builder hands its case loop over as a closure, and the first read
+/// through [`Deref`] or `&Cases` runs it once; every clone of the
+/// scenario shares the result. `Debug` prints the cases only once they
+/// exist.
 ///
 /// ```
 /// use leakaudit_scenarios::scatter_gather;
@@ -243,10 +244,10 @@ pub struct Scenario {
     /// The paper's reported bounds.
     pub expected: Expected,
     /// Concrete secret × layout sweep for emulator validation,
-    /// generated on first read (see [`Cases`]). Read by the Theorem 1
-    /// and functional-correctness checks and by cycle estimates; the
-    /// static analysis, its cache keys and the daemon's cold path never
-    /// read it.
+    /// generated on first read (see [`Cases`]). Read only by the
+    /// emulator-side checks (Theorem 1, functional correctness, the
+    /// cache-simulator oracle); the static analysis, its cache keys,
+    /// the sweep engine and the daemon never read it.
     pub cases: Cases,
 }
 

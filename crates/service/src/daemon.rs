@@ -34,7 +34,7 @@
 //! → {"op":"cancel","job":1}
 //! ← {"ok":true,"job":1,"cancelled":true}
 //! → {"op":"stats"}
-//! ← {"ok":true,"cache":{…},…,"jobs":2,"executor":{…},"profile":{…},"ops":{…},"workers":…}
+//! ← {"ok":true,"cache":{…},…,"jobs":2,"executor":{"workers":…,…},"profile":{…},"ops":{…}}
 //! → {"op":"shutdown"}
 //! ← {"ok":true,"shutting_down":true}
 //! ```
@@ -56,11 +56,11 @@
 //! request's [`AuditProfile`]): `block_bits`/`bank_bits`/`page_bits`
 //! select the observer-granularity family, `fuel` moves the divergence
 //! guard, `budget` (`{"fuel":…,"deadline_ms":…}`) bounds each cell of
-//! the job individually, `cycle_model` (`"lru"`/`"fifo"`/`"plru"`)
-//! adds the cycle column, and `interp_memo` (boolean) toggles the
+//! the job individually, and `interp_memo` (boolean) toggles the
 //! interpreter's memo layer (diagnostics only — results are identical
 //! either way and cache under the same keys). Other overridden results
-//! are cached under distinct keys.
+//! are cached under distinct keys; any other field is rejected as an
+//! `unknown config field`.
 //!
 //! `result` blocks until the job finishes; `stream` pushes each cell as
 //! its analysis lands; `poll` never blocks. A collected job stays
@@ -76,7 +76,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use leakaudit_analyzer::Budget;
-use leakaudit_cache::Policy;
 use leakaudit_scenarios::{Registry, ScenarioSpec};
 
 use crate::proto::{write_escaped, write_num, Json};
@@ -647,7 +646,6 @@ impl Daemon {
                         .collect(),
                 ),
             ),
-            ("workers", Json::num(self.engine.workers() as u64)),
         ])
     }
 }
@@ -711,14 +709,6 @@ fn parse_profile(config: &Json) -> Result<AuditProfile, String> {
                 profile.interp_memo = Some(match value {
                     Json::Bool(b) => *b,
                     _ => return Err("\"interp_memo\" must be a boolean".into()),
-                });
-            }
-            "cycle_model" => {
-                profile.cycle_model = Some(match value.as_str() {
-                    Some("lru") => Policy::Lru,
-                    Some("fifo") => Policy::Fifo,
-                    Some("plru") => Policy::Plru,
-                    _ => return Err("\"cycle_model\" must be \"lru\", \"fifo\" or \"plru\"".into()),
                 });
             }
             other => return Err(format!("unknown config field {other:?}")),
@@ -822,10 +812,6 @@ fn write_cell(out: &mut String, head: &str, cell: &SweepCell) -> fmt::Result {
             out.push_str(",\"error\":");
             write_escaped(out, &e.to_string())?;
         }
-    }
-    if let Some(cycles) = cell.cycles {
-        out.push_str(",\"cycles\":");
-        write_num(out, cycles as f64)?;
     }
     out.push('}');
     Ok(())
@@ -965,6 +951,10 @@ mod tests {
         let cache = stats.get("cache").unwrap();
         assert_eq!(cache.get("entries").and_then(Json::as_u64), Some(1));
         assert_eq!(stats.get("jobs").and_then(Json::as_u64), Some(1));
+        // The worker count lives under `executor` only.
+        let workers = stats.get("executor").and_then(|e| e.get("workers"));
+        assert!(workers.and_then(Json::as_u64).is_some_and(|n| n > 0));
+        assert_eq!(stats.get("workers"), None, "no top-level duplicate");
 
         // The profile: the computed sweep ran the pipeline once, so
         // some phase is nonzero; the gather loop revisits its body with

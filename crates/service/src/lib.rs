@@ -16,8 +16,8 @@
 //!   used evicted first), plus a fan-out directory of JSON entries
 //!   surviving the process;
 //! * [`SweepEngine`] — plans a [`Registry`] sweep under a per-request
-//!   [`AuditProfile`] (observer-granularity overrides, fuel/deadline
-//!   budgets, cycle model — folded into every cell's key), deduplicates
+//!   [`AuditProfile`] (observer-granularity overrides and fuel/deadline
+//!   budgets, folded into every cell's key), deduplicates
 //!   cells by key, answers what it can from the caches, partitions the
 //!   rest into interpretation groups ([`GroupKey`] — cells differing
 //!   only in observer granularity share one scheduler pass, surfaced
@@ -74,6 +74,6 @@ pub use daemon::Daemon;
 pub use key::{BaseKey, CacheKey, GroupKey};
 pub use proto::Json;
 pub use sweep::{
-    cycle_estimate, AuditProfile, Provenance, SweepCell, SweepEngine, SweepProbe, SweepProgress,
-    SweepReport, SweepTicket,
+    AuditProfile, Provenance, SweepCell, SweepEngine, SweepProbe, SweepProgress, SweepReport,
+    SweepTicket,
 };

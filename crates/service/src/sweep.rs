@@ -36,7 +36,6 @@ use leakaudit_analyzer::{
     AnalysisConfig, AnalysisError, AnalysisProfile, BatchTicket, Budget, Executor, LeakReport,
     MemoStats, OwnedJob, PhaseTotals, ProgressProbe,
 };
-use leakaudit_cache::{CacheConfig, CycleModel, Hierarchy, Policy};
 use leakaudit_scenarios::{Registry, Scenario, ScenarioSpec};
 
 use crate::cache::{CacheStats, DiskCache, MemoryCache};
@@ -64,9 +63,6 @@ pub struct AuditProfile {
     /// executor honors it per cell, so one pathological cell returns
     /// `BudgetExhausted` while its siblings complete normally.
     pub budget: Budget,
-    /// Request-scoped cycle-model column (overrides the engine-level
-    /// [`SweepEngine::with_cycle_model`] policy for this sweep only).
-    pub cycle_model: Option<Policy>,
     /// Override for the interpreter's memo layer (`Some(false)` forces
     /// the naive reference path). Not part of result identity — memoized
     /// and naive runs are bit-identical by construction, so flipping
@@ -163,9 +159,6 @@ pub struct SweepCell {
     pub result: CellResult,
     /// Analysis wall-clock time for computed cells, zero for hits.
     pub elapsed: Duration,
-    /// Cycle estimate from the cache simulator, when the engine was
-    /// given a cycle model (see [`SweepEngine::with_cycle_model`]).
-    pub cycles: Option<u64>,
 }
 
 /// The answered sweep, cells in registry order.
@@ -302,12 +295,6 @@ pub struct SweepTicket {
     /// interpretation group, ascending, lead first. Solo groups take
     /// the plain analysis path; larger ones run one union-suite pass.
     jobs: Vec<Vec<usize>>,
-    /// Scenarios built during planning, reused for analysis and the
-    /// cycle column.
-    built: HashMap<usize, Arc<Scenario>>,
-    /// The effective cycle-model policy for this sweep (request
-    /// override, falling back to the engine default).
-    cycle_policy: Option<Policy>,
     batch: Option<BatchTicket>,
     started: Instant,
 }
@@ -391,16 +378,12 @@ pub struct SweepEngine {
     memory: MemoryCache,
     disk: Option<DiskCache>,
     threads: Option<usize>,
-    cycle_policy: Option<Policy>,
     /// Spec → (base key, scenario name): building a scenario (assembly
-    /// plus concrete-case generation) just to learn its content base is
+    /// plus the initial abstract state) just to learn its content base is
     /// paid once per spec per engine; warm sweeps — under *any* profile
     /// — plan from this memo alone, folding the per-request
     /// configuration into the base without rebuilding anything.
     plan: Mutex<HashMap<ScenarioSpec, (BaseKey, String)>>,
-    /// (key, policy) → cycle estimate: the emulator replay behind the
-    /// cycles column is deterministic, so repeated sweeps reuse it.
-    cycle_memo: Mutex<HashMap<(CacheKey, Policy), Option<u64>>>,
     /// The worker pool, spawned on first use (an engine that only ever
     /// answers from cache starts no threads). All sweeps of this engine
     /// share it: idle workers steal the costliest pending cell across
@@ -444,18 +427,6 @@ impl SweepEngine {
     #[must_use]
     pub fn with_eviction(mut self, capacity_bytes: u64) -> Self {
         self.memory = MemoryCache::new().with_capacity_bytes(capacity_bytes);
-        self
-    }
-
-    /// Adds a concrete cycle-model column: each cell's first concrete
-    /// case is run in the emulator and its trace replayed through a
-    /// split L1 [`Hierarchy`] under the named replacement policy. The
-    /// estimate is *not* part of the cache key (it is derived from the
-    /// same program content), so naming a different policy re-uses the
-    /// same cached leakage reports.
-    #[must_use]
-    pub fn with_cycle_model(mut self, policy: Policy) -> Self {
-        self.cycle_policy = Some(policy);
         self
     }
 
@@ -681,8 +652,6 @@ impl SweepEngine {
             resolved,
             shared_of,
             jobs: grouped,
-            built,
-            cycle_policy: profile.cycle_model.or(self.cycle_policy),
             batch,
             started,
         }
@@ -716,8 +685,6 @@ impl SweepEngine {
             mut resolved,
             shared_of,
             jobs,
-            built,
-            cycle_policy,
             batch,
             started,
         } = ticket;
@@ -777,12 +744,6 @@ impl SweepEngine {
                 provenance,
                 result,
                 elapsed,
-                cycles: self.cycles_for(
-                    &spec,
-                    metas[i].0,
-                    built.get(&i).map(Arc::as_ref),
-                    cycle_policy,
-                ),
             };
             on_cell(i, &cell);
             cells.push(cell);
@@ -899,62 +860,6 @@ impl SweepEngine {
             .insert(*spec, meta.clone());
         (meta, Some(scenario))
     }
-
-    /// The cell's cycle estimate under the sweep's effective policy,
-    /// memoized per (key, policy); reuses an already-built scenario when
-    /// available.
-    fn cycles_for(
-        &self,
-        spec: &ScenarioSpec,
-        key: CacheKey,
-        built: Option<&Scenario>,
-        policy: Option<Policy>,
-    ) -> Option<u64> {
-        let policy = policy?;
-        if let Some(&cycles) = self
-            .cycle_memo
-            .lock()
-            .expect("cycle memo poisoned")
-            .get(&(key, policy))
-        {
-            return cycles;
-        }
-        let cycles = match built {
-            Some(scenario) => cycle_estimate(scenario, policy),
-            None => cycle_estimate(&spec.build(), policy),
-        };
-        self.cycle_memo
-            .lock()
-            .expect("cycle memo poisoned")
-            .insert((key, policy), cycles);
-        cycles
-    }
-}
-
-/// Runs a scenario's first concrete case in the emulator and replays
-/// its access trace through a split L1 hierarchy under `policy`,
-/// returning the cycle estimate (`None` if the scenario has no cases or
-/// the emulation fails — cycle columns are advisory).
-///
-/// This generates the scenario's concrete cases (see
-/// [`leakaudit_scenarios::Cases`]): it is the one reader of them on the
-/// sweep and daemon paths, so only the opt-in cycle column pays for them.
-pub fn cycle_estimate(scenario: &Scenario, policy: Policy) -> Option<u64> {
-    let case = scenario.cases.first()?;
-    let trace = scenario.emulate(case).ok()?;
-    let config = CacheConfig {
-        policy,
-        ..CacheConfig::l1_default()
-    };
-    let mut hierarchy = Hierarchy::new(config, CycleModel::default());
-    for access in &trace.accesses {
-        if access.is_data() {
-            hierarchy.data(u64::from(access.addr));
-        } else {
-            hierarchy.fetch(u64::from(access.addr));
-        }
-    }
-    Some(hierarchy.cycles())
 }
 
 #[cfg(test)]
@@ -1026,30 +931,6 @@ mod tests {
         // A later single query hits the memory cache.
         let again = engine.query(&spec);
         assert_eq!(again.provenance, Provenance::MemoryHit);
-    }
-
-    #[test]
-    fn cycle_model_column_is_policy_sensitive_but_cache_neutral() {
-        let engine = SweepEngine::new().with_cycle_model(Policy::Plru);
-        let spec = ScenarioSpec::new(
-            FamilyParams::SquareMultiply {
-                stub_stride: 0x40,
-                secret_bits: 1,
-            },
-            6,
-        );
-        let cell = engine.query(&spec);
-        let cycles = cell.cycles.expect("scenario has concrete cases");
-        assert!(cycles > 0);
-        // Same engine cache, different policy: report comes from cache,
-        // cycles change with the policy model.
-        let scenario = spec.build();
-        let lru = cycle_estimate(&scenario, Policy::Lru).unwrap();
-        let plru = cycle_estimate(&scenario, Policy::Plru).unwrap();
-        // Tiny traces fit in L1: both policies agree here; the estimate
-        // exists and is deterministic either way.
-        assert_eq!(cycle_estimate(&scenario, Policy::Lru), Some(lru));
-        assert_eq!(cycle_estimate(&scenario, Policy::Plru), Some(plru));
     }
 
     #[test]

@@ -88,7 +88,6 @@ fn protocol_token() -> impl Strategy<Value = String> {
         "\"fuel\"".to_string(),
         "\"deadline_ms\"".to_string(),
         "\"block_bits\"".to_string(),
-        "\"cycle_model\"".to_string(),
         "\"everything\"".to_string(),
         "\"bogus[b=6]\"".to_string(),
         "\"scatter-gather[s=,aligned]\"".to_string(),

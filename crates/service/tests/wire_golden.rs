@@ -6,8 +6,8 @@
 //! and its re-serve, a `stream` replayed from a collected job, a live
 //! `stream`, a dedup-`shared` cell, a `shared-pass` granularity pair,
 //! and a fuel-starved override whose heavy cell comes back as an
-//! `error` cell beside a cheap cell that converged, both carrying a
-//! `cycles` column. Each line must also survive `Json::parse` →
+//! `error` cell beside a cheap cell that converged. Each line must also
+//! survive `Json::parse` →
 //! `to_string` unchanged, so the response text is exactly what the
 //! generic serializer would print for it.
 
@@ -61,10 +61,7 @@ fn requests() -> Vec<String> {
         r#"{"op":"result","job":0}"#.into(),
         r#"{"op":"stream","job":0}"#.into(),
         r#"{"op":"poll","job":0}"#.into(),
-        submit(
-            &job1,
-            r#","config":{"budget":{"fuel":20000},"cycle_model":"lru"}"#,
-        ),
+        submit(&job1, r#","config":{"budget":{"fuel":20000}}"#),
         r#"{"op":"stream","job":1}"#.into(),
         r#"{"op":"result","job":1}"#.into(),
         r#"{"op":"poll","job":1}"#.into(),

@@ -6,8 +6,9 @@
 //!    case-study binary under every secret valuation, apply the observer
 //!    views of §3.2 to the recorded traces, and check that the number of
 //!    distinct views never exceeds the static bound (Theorem 1, tested).
-//! 2. **Performance measurements** — instruction counts and, combined with
-//!    `leakaudit-cache`, cycle estimates for the Fig. 16 reproduction.
+//! 2. **Concrete cache behaviour** — instruction counts per run, and the
+//!    data traces that `leakaudit-cache` replays into hit/miss patterns
+//!    (the `cache_policies` example).
 
 use std::collections::BTreeMap;
 use std::fmt;

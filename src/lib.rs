@@ -25,8 +25,8 @@
 //!   ElGamal, used for the performance experiments (Fig. 16).
 //! - [`mpi`] — multi-precision naturals (also used for exact observation
 //!   counting).
-//! - [`cache`] — a set-associative cache simulator for cycle-model
-//!   measurements.
+//! - [`cache`] — a set-associative cache simulator, the concrete
+//!   hit/miss oracle behind the block-trace observer.
 //!
 //! ## Quickstart
 //!
